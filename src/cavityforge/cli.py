@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from typing import Optional
 
@@ -65,17 +64,6 @@ def _write_json(doc: dict, path: Optional[str]):
             fh.close()
 
 
-def _set_threads(n: Optional[int]):
-    if n is None:
-        env = os.environ.get("CAVITYFORGE_THREADS")
-        n = int(env) if env else (os.cpu_count() or 1)
-    if n < 1:
-        raise ConfigError(f"threads must be >= 1, got {n}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-    return n
-
-
 def _load_run_config(args) -> RunConfig:
     if args.paper_baseline and args.config:
         raise ConfigError("give either --config or --paper-baseline, not both")
@@ -89,6 +77,10 @@ def _load_run_config(args) -> RunConfig:
 # ---------------------------------------------------------------- dispersion
 
 def cmd_dispersion(args) -> int:
+    if not (args.l_step_nm > 0 and args.scan_step_nm > 0):
+        raise ConfigError("--l-step-nm and --scan-step-nm must be positive")
+    if not args.lambda_min_nm < args.lambda_max_nm:
+        raise ConfigError("--lambda-min-nm must be below --lambda-max-nm")
     cfg = _load_run_config(args)
     L_values = np.arange(args.l_min_um * 1e3, args.l_max_um * 1e3 + args.l_step_nm / 2,
                          args.l_step_nm)
@@ -386,13 +378,15 @@ def cmd_synth(args) -> int:
 
 # ---------------------------------------------------------------------- main
 
+def _add_output_arg(p):
+    p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+
+
 def _add_config_args(p):
     p.add_argument("--config", help="JSON run configuration")
     p.add_argument("--paper-baseline", action="store_true",
                    help="use the built-in measured-device configuration")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: CAVITYFORGE_THREADS or all cores)")
-    p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+    _add_output_arg(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("fit", help="fit a CSV dataset")
-    _add_config_args(p)
+    _add_output_arg(p)
     p.add_argument("kind", choices=["voigt", "lorentzian", "gaussian",
                                     "lifetime", "g2"])
     p.add_argument("data", help="two-column CSV with unit-declaring header")
@@ -442,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("synth", help="generate seeded synthetic datasets")
-    _add_config_args(p)
+    _add_output_arg(p)
     p.add_argument("kind", choices=["resonance", "lorentzian", "lateral",
                                     "lifetime", "g2"])
     p.add_argument("--seed", type=int, default=0)
@@ -454,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _set_threads(args.threads)
         return args.func(args)
     except (ConfigError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

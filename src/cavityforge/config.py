@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 from .constants import apply_overrides
 from .stack import CavityAssembly, EmitterSpec, GeometryError, MirrorSpec, assemble_cavity
@@ -29,9 +28,7 @@ _CONSTANTS_KEYS = {"c", "hbar", "eps0", "e_charge"}
 _MEASURED_KEYS = {"Gamma_L_pm", "dlambda_dL", "gamma_on_per_s",
                   "gamma_off_per_s", "dw_assumed"}
 _SWEEP_KEYS = {"t_d_nm", "L_nm", "terminations", "R_um"}
-_FIT_KEYS = {"irf_sigma_ns", "lifetime_window_start_ns", "g2_period_ns",
-             "g2_window_ns", "g2_normalization_delay_ns"}
-_TOP_KEYS = {"cavity", "emitter", "constants", "measured", "sweep", "fit"}
+_TOP_KEYS = {"cavity", "emitter", "constants", "measured", "sweep"}
 
 
 def _check_keys(d: dict, allowed: set, where: str):
@@ -64,11 +61,6 @@ class RunConfig:
     emitter: EmitterSpec
     measured: dict
     sweep: dict
-    fit: dict
-
-    @property
-    def irf_sigma_ns(self) -> float:
-        return float(self.fit.get("irf_sigma_ns", 0.2))
 
 
 def paper_baseline_dict() -> dict:
@@ -154,9 +146,7 @@ def parse_config(doc: dict) -> RunConfig:
     _check_keys(measured, _MEASURED_KEYS, "measured")
     sweep = dict(doc.get("sweep", {}))
     _check_keys(sweep, _SWEEP_KEYS, "sweep")
-    fit = dict(doc.get("fit", {}))
-    _check_keys(fit, _FIT_KEYS, "fit")
-    return RunConfig(assembly, emitter, measured, sweep, fit)
+    return RunConfig(assembly, emitter, measured, sweep)
 
 
 def load_config(path: str) -> RunConfig:
@@ -167,23 +157,3 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(doc)
 
-
-def cavity_roundtrip_dict(cfg: RunConfig) -> dict:
-    """Serialize the assembly back to the config schema."""
-    def mirror(m: MirrorSpec) -> dict:
-        return {
-            "pairs": m.pairs, "center_wavelength_nm": m.center_wavelength,
-            "n_high": m.n_high, "n_low": m.n_low,
-            "terminal_high_index": m.terminal_high_index,
-            "substrate_index": m.substrate_index, "lumped_loss": m.lumped_loss,
-        }
-    a = cfg.cavity
-    return {
-        "bottom_mirror": mirror(a.bottom_mirror),
-        "top_mirror": mirror(a.top_mirror),
-        "t_d_nm": a.t_d,
-        "L_nm": a.L,
-        "n_d": a.diamond.n.real,
-        "R_um": a.curvature_radius_um,
-        "waist_fwhm_um": a.transverse_waist_fwhm_um,
-    }

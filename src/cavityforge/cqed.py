@@ -16,8 +16,6 @@ import numpy as np
 
 from .constants import CONSTANTS
 
-DW_PRESETS = {"self-consistent": 0.0255, "low": 0.024, "high": 0.05}
-
 
 @dataclass(frozen=True)
 class RatesMeasurement:

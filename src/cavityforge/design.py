@@ -11,13 +11,14 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .constants import CONSTANTS
 from .cqed import coupling_rate, dipole_from_lifetime, purcell_zpl_theory, transform_limit
 from .gaussian import beam_waist, effective_area, vacuum_field
-from .stack import EmitterSpec, GeometryError, MirrorSpec, assemble_cavity, emitter_rates
-from .tmm import ResonanceError, field_profile, find_resonances
+from .stack import (EmitterSpec, GeometryError, MirrorSpec, assemble_cavity, build_dbr,
+                    emitter_rates)
+from .tmm import ResonanceError, field_profile, stack_response
 
 # eta reported side-by-side for the commonly assumed ZPL branching fractions;
 # the headline eta uses 2.0 %, the headline transform limit the
@@ -76,36 +77,29 @@ class SweepResult:
 
 def _tune_air_gap(bottom, top, t_d, L_nominal, R_um, lam_target,
                   search_halfwidth=170.0, waist_fwhm_um=None):
-    """Find the air gap near L_nominal whose resonance sits at lam_target."""
+    """Air gap nearest L_nominal whose resonance sits at lam_target.
+
+    Closes the round-trip phase of the gap, 4 pi L / lam - arg r_b - arg r_t
+    = 2 pi m (signs of the solver's +i sin(delta) layer matrices), with r_b
+    (diamond plus bottom DBR) and r_t (top DBR) the reflection coefficients
+    seen from the air.  The candidate gaps are spaced by lam / 2.
+    """
     base = assemble_cavity(bottom, t_d, max(L_nominal, 1.0), top, R_um,
                            waist_fwhm_um=waist_fwhm_um)
-
-    def detune(L):
-        res = find_resonances(base.with_air_gap(L),
-                              (lam_target - 8.0, lam_target + 8.0), scan_step=0.002)
-        if not res:
-            return np.nan
-        return min(res, key=lambda d: abs(d["lambda_res"] - lam_target))["lambda_res"] - lam_target
-
-    grid = np.arange(max(L_nominal - search_halfwidth, 50.0),
-                     L_nominal + search_halfwidth + 1, 20.0)
-    vals = [detune(L) for L in grid]
-    best = None
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if np.isnan(fa) or np.isnan(fb) or abs(fb - fa) > 10.0:
-            continue
-        if fa == 0.0:
-            cand = a
-        elif fa * fb < 0:
-            cand = brentq(detune, a, b, xtol=1e-4)
-        else:
-            continue
-        if best is None or abs(cand - L_nominal) < abs(best - L_nominal):
-            best = cand
-    if best is None:
+    lam = lam_target
+    r_b = stack_response([base.diamond, *build_dbr(bottom)], 1.0, base.n_in, lam).r
+    r_t = stack_response(build_dbr(top), 1.0, base.n_out, lam).r
+    offset = (np.angle(r_b) + np.angle(r_t)) * lam / (4.0 * np.pi)
+    period = lam / 2.0
+    lo = max(L_nominal - search_halfwidth, 50.0)
+    hi = L_nominal + search_halfwidth
+    orders = np.arange(np.ceil((lo - offset) / period),
+                       np.floor((hi - offset) / period) + 1)
+    if not orders.size:
         raise ResonanceError(
-            f"no resonance at {lam_target} nm within {search_halfwidth} nm of L={L_nominal} nm")
-    return base.with_air_gap(float(best))
+            f"no resonance at {lam} nm within {search_halfwidth} nm of L={L_nominal} nm")
+    gaps = offset + period * orders
+    return base.with_air_gap(float(gaps[np.argmin(np.abs(gaps - L_nominal))]))
 
 
 def optimize_kappa(g: float, gamma_zpl: float, gamma_psb: float,
@@ -208,7 +202,7 @@ def evaluate_design(p: DesignPoint, e: EmitterSpec,
     elif p.Q_target is not None:
         kappa = w / p.Q_target
     else:
-        kappa = optimize_kappa(g, rates["gamma_zpl"], rates["gamma_psb"])["kappa_rule"]
+        kappa = 2.0 * g      # the rule optimize_kappa adopts
     p.kappa_applied_s = kappa
     p.Q_required = w / kappa
     F = purcell_zpl_theory(g, kappa, rates["gamma_bulk"])

@@ -83,8 +83,7 @@ def effective_area(mode: TransverseMode) -> float:
     return np.pi * mode.waist_um ** 2 / 2.0
 
 
-def vacuum_field(profile: FieldProfile, A_eff_um2: float,
-                 lam_nm: Optional[float] = None) -> ModeVolumeReport:
+def vacuum_field(profile: FieldProfile, A_eff_um2: float) -> ModeVolumeReport:
     """Vacuum-field normalization of a resonant standing-wave profile.
 
     V_eff = A_eff * int eps_r(z) |f(z)|^2 dz / (eps_r(z*) |f(z*)|^2) with z*
@@ -92,7 +91,7 @@ def vacuum_field(profile: FieldProfile, A_eff_um2: float,
     eps_r(z*) V_eff)).  The global-maximum variant (z* chosen to maximize
     E_vac anywhere in the stack) is reported alongside.
     """
-    lam = profile.resonant_wavelength if lam_nm is None else lam_nm
+    lam = profile.resonant_wavelength
     z, amp, eps = profile.z, profile.amplitude, profile.eps_r
     integral = np.trapezoid(eps * amp ** 2, z)  # nm * (eps |f|^2) units
 

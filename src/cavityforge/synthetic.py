@@ -86,11 +86,3 @@ def g2_histogram(g2_zero: float = 0.27, pulse_period_ns: float = 100.0,
         y = rng.poisson(y).astype(float)
     return XYSeries(t, y, x_unit="delay_ns", y_unit="coincidences")
 
-
-def poissonian_g2_histogram(pulse_period_ns: float = 100.0, n_side_peaks: int = 10,
-                            peak_sigma_ns: float = 2.0, peak_area: float = 2000.0,
-                            bin_ns: float = 0.2, poisson: bool = True,
-                            seed: int = 0) -> XYSeries:
-    """Uncorrelated (coherent-source) reference: all peaks equal."""
-    return g2_histogram(1.0, pulse_period_ns, n_side_peaks, peak_sigma_ns,
-                        peak_area, bin_ns, poisson, seed)

@@ -37,7 +37,6 @@ class BranchSample:
 class ModeBranch:
     samples: list[BranchSample]
     character: str = "mixed"       # "air-like" | "diamond-like" | "mixed"
-    transverse_order: tuple[int, int] = (0, 0)
 
     @property
     def L_values(self) -> np.ndarray:
@@ -76,13 +75,20 @@ class ResonanceError(RuntimeError):
     """Raised when an operation requires a resonance that cannot be found."""
 
 
+def _layer_entries(n: complex, thickness, lam):
+    """Entries (cos d, i sin d / n, i n sin d) of a layer's characteristic
+    matrix, d = 2 pi n thickness / lam; thickness or lam may be arrays."""
+    delta = 2.0 * np.pi * n * thickness / lam
+    c, s = np.cos(delta), np.sin(delta)
+    return c, 1j * s / n, 1j * n * s
+
+
 def characteristic_matrix(layer: Layer, lam: float) -> np.ndarray:
     """2x2 characteristic matrix of a single layer at wavelength lam (nm)."""
     if lam <= 0:
         raise ValueError("wavelength must be positive")
-    delta = 2.0 * np.pi * layer.n * layer.thickness / lam
-    c, s = np.cos(delta), np.sin(delta)
-    return np.array([[c, 1j * s / layer.n], [1j * layer.n * s, c]])
+    c, a, b = _layer_entries(layer.n, layer.thickness, lam)
+    return np.array([[c, a], [b, c]])
 
 
 def _stack_matrices(layers: Sequence[Layer], lams: np.ndarray) -> np.ndarray:
@@ -97,12 +103,11 @@ def _stack_matrices(layers: Sequence[Layer], lams: np.ndarray) -> np.ndarray:
     for layer in layers:
         if layer.thickness == 0.0:
             continue
-        delta = 2.0 * np.pi * layer.n * layer.thickness / lams
-        c, s = np.cos(delta), np.sin(delta)
-        m00 = M[:, 0, 0] * c + M[:, 0, 1] * (1j * layer.n * s)
-        m01 = M[:, 0, 0] * (1j * s / layer.n) + M[:, 0, 1] * c
-        m10 = M[:, 1, 0] * c + M[:, 1, 1] * (1j * layer.n * s)
-        m11 = M[:, 1, 0] * (1j * s / layer.n) + M[:, 1, 1] * c
+        c, a, b = _layer_entries(layer.n, layer.thickness, lams)
+        m00 = M[:, 0, 0] * c + M[:, 0, 1] * b
+        m01 = M[:, 0, 0] * a + M[:, 0, 1] * c
+        m10 = M[:, 1, 0] * c + M[:, 1, 1] * b
+        m11 = M[:, 1, 0] * a + M[:, 1, 1] * c
         M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1] = m00, m01, m10, m11
     return M
 
@@ -172,7 +177,7 @@ def _lorentzian_fwhm(f, lam0: float, T0: float) -> float:
 
 
 def find_resonances(assembly: CavityAssembly, lam_window: tuple[float, float],
-                    scan_step: float = 0.001, refine_tol: float = 1e-6) -> list[dict]:
+                    scan_step: float = 0.001) -> list[dict]:
     """Transmission peaks of the assembly inside lam_window.
 
     Returns one dict per resonance: lambda_res (nm), cold_linewidth_nm,
@@ -195,7 +200,7 @@ def find_resonances(assembly: CavityAssembly, lam_window: tuple[float, float],
     out = []
     for i in peaks:
         lam_res = _golden_max(f, lams[max(i - 1, 0)], lams[min(i + 1, lams.size - 1)],
-                              refine_tol)
+                              tol=1e-6)
         T0 = f(lam_res)
         fwhm = _lorentzian_fwhm(f, lam_res, T0)
         if (i <= 1 or i >= lams.size - 2
@@ -249,11 +254,9 @@ def field_profile(assembly: CavityAssembly, lam_res: float,
         dz = min(lam_res / (20.0 * ly.n.real), total / min_samples)
         npts = max(int(np.ceil(ly.thickness / dz)) + 1, 8)
         z_local = np.linspace(0.0, ly.thickness, npts)  # from layer bottom
-        d_to_top = ly.thickness - z_local
-        delta = 2.0 * np.pi * ly.n * d_to_top / lam_res
-        c, s = np.cos(delta), np.sin(delta)
-        E = c * EH_upper[0] + (1j * s / ly.n) * EH_upper[1]
-        H = (1j * ly.n * s) * EH_upper[0] + c * EH_upper[1]
+        c, a, b = _layer_entries(ly.n, ly.thickness - z_local, lam_res)
+        E = c * EH_upper[0] + a * EH_upper[1]
+        H = b * EH_upper[0] + c * EH_upper[1]
         zs.append(edges[idx] + z_local)
         amps.append(np.abs(E))
         eps.append(np.full(npts, (ly.n ** 2).real))
@@ -292,8 +295,7 @@ def diamond_energy_fraction(profile: FieldProfile) -> float:
 
 def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
                    lam_window: tuple[float, float],
-                   scan_step: float = 0.002,
-                   classify: bool = True) -> list[ModeBranch]:
+                   scan_step: float = 0.002) -> list[ModeBranch]:
     """Track resonances across an air-gap scan into continuous branches.
 
     Branch association is nearest-neighbor in (L, lambda) with slope
@@ -342,8 +344,7 @@ def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
         for s, sl in zip(samples, slopes):
             s.slope = float(sl)
         br = ModeBranch(samples)
-        if classify:
-            _classify_branch(assembly, br)
+        _classify_branch(assembly, br)
         branches.append(br)
     branches.sort(key=lambda b: (b.samples[0].L, b.samples[0].lambda_res))
     return branches

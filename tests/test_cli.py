@@ -97,10 +97,40 @@ def test_dispersion_needs_a_config():
     assert _run(["dispersion"]) == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--l-step-nm", "0"], "must be positive"),
+    (["--scan-step-nm", "0"], "must be positive"),
+    (["--lambda-min-nm", "700", "--lambda-max-nm", "600"], "must be below"),
+])
+def test_dispersion_bad_steps_and_window_exit_2(flags, message, capsys):
+    assert _run(["dispersion", "--paper-baseline", *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_config_and_baseline_are_exclusive(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text("{}")
     assert _run(["report", "--config", str(cfg), "--paper-baseline"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--paper-baseline", "--threads", "2"],
+    ["synth", "g2", "--config", "/nonexistent.json"],
+    ["fit", "voigt", str(DATA / "zpl2_resonance.csv"), "--paper-baseline"],
+])
+def test_unhonoured_flags_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert exc.value.code == 2
+
+
+def test_config_fit_block_rejected(tmp_path):
+    from cavityforge.config import paper_baseline_dict
+    doc = paper_baseline_dict()
+    doc["fit"] = {"irf_sigma_ns": 0.2}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert _run(["report", "--config", str(cfg)]) == 2
 
 
 # ------------------------------------------------------------------- report

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cavityforge.design import (DesignPoint, design_mirrors, evaluate_design,
-                                optimize_kappa, pareto_indices, sweep)
-from cavityforge.stack import EmitterSpec
-from cavityforge.tmm import ResonanceError
+from cavityforge.design import (DesignPoint, _tune_air_gap, design_mirrors,
+                                evaluate_design, optimize_kappa, pareto_indices, sweep)
+from cavityforge.stack import EmitterSpec, MirrorSpec
+from cavityforge.tmm import ResonanceError, find_resonances
 
 EMITTER = EmitterSpec()
 
@@ -14,6 +14,20 @@ def test_design_mirrors_low_index_terminated():
     assert not bottom.terminal_high_index
     assert not top.terminal_high_index
     assert bottom.pairs == 15 and top.pairs == 14
+
+
+@pytest.mark.parametrize("mirrors, t_d, L, R_um", [
+    ((MirrorSpec(15, 637.0), MirrorSpec(14, 637.0)), 770.0, 1960.0, 16.0),
+    (design_mirrors(), 198.0, 478.0, 5.5),
+    (design_mirrors(), 132.0, 637.0, 5.5),
+])
+def test_tune_air_gap_is_exact_and_independent_of_start(mirrors, t_d, L, R_um):
+    bottom, top = mirrors
+    asm = _tune_air_gap(bottom, top, t_d, L, R_um, 637.0)
+    for start in (L - 30.0, L + 30.0):
+        assert _tune_air_gap(bottom, top, t_d, start, R_um, 637.0).L == asm.L
+    peaks = [r["lambda_res"] for r in find_resonances(asm, (636.0, 638.0))]
+    assert min(abs(lam - 637.0) for lam in peaks) < 1e-6
 
 
 def test_optimize_kappa_rule():
