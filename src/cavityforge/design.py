@@ -11,7 +11,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .constants import CONSTANTS
 from .cqed import coupling_rate, dipole_from_lifetime, purcell_zpl_theory, transform_limit
@@ -124,6 +123,8 @@ def optimize_kappa(g: float, gamma_zpl: float, gamma_psb: float,
         eta = F * gamma_zpl / (gamma_psb + F * gamma_zpl)
         eta_out = kappa / (kappa + kappa_loss) if kappa_loss > 0 else 1.0
         return -eta * eta_out
+
+    from scipy.optimize import minimize_scalar  # deferred: slow to import
 
     sol = minimize_scalar(neg_flux, bounds=bounds, method="bounded",
                           options={"xatol": 1e-6 * g})

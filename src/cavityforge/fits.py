@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.special import erf, wofz
 
 _SQRT2LN2 = np.sqrt(2.0 * np.log(2.0))
@@ -95,6 +94,8 @@ class DecayHistogram:
 
 def _solve(residual_fn: Callable, p0: np.ndarray, names: list[str],
            bounds=(-np.inf, np.inf)) -> FitResult:
+    from scipy.optimize import least_squares  # deferred: slow to import
+
     sol = least_squares(residual_fn, p0, bounds=bounds, method="trf",
                         max_nfev=MAX_ITER * (len(p0) + 1),
                         xtol=REL_TOL, ftol=REL_TOL, gtol=REL_TOL)

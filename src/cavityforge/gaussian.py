@@ -97,7 +97,7 @@ def vacuum_field(profile: FieldProfile, A_eff_um2: float) -> ModeVolumeReport:
 
     dmask = profile.mask_for_layer("diamond")
     if not dmask.any():
-        raise ValueError("profile has no diamond layer; diamond-maximum undefined")
+        raise GeometryError("profile has no diamond layer; diamond-maximum undefined")
 
     def evac_at(i: int) -> float:
         # hbar w / (2 eps0 eps_r V_eff), V_eff = A * integral/(eps_i f_i^2)

@@ -112,13 +112,23 @@ def _stack_matrices(layers: Sequence[Layer], lams: np.ndarray) -> np.ndarray:
     return M
 
 
+def _exit_vector(M: np.ndarray, n_out: complex):
+    """[B, C] = M @ [1, n_out]: the fields at the entry face for a unit
+    transmitted wave in the exit medium."""
+    return M[..., 0, 0] + M[..., 0, 1] * n_out, M[..., 1, 0] + M[..., 1, 1] * n_out
+
+
 def _rt_from_matrix(M: np.ndarray, n_in: complex, n_out: complex):
-    B = M[..., 0, 0] + M[..., 0, 1] * n_out
-    C = M[..., 1, 0] + M[..., 1, 1] * n_out
+    B, C = _exit_vector(M, n_out)
     denom = n_in * B + C
     r = (n_in * B - C) / denom
     t = 2.0 * n_in / denom
     return r, t
+
+
+def _transmittance(B, C, n_in: complex, n_out: complex):
+    t = 2.0 * n_in / (n_in * B + C)
+    return np.real(n_out) / np.real(n_in) * np.abs(t) ** 2
 
 
 def stack_response(layers: Sequence[Layer], n_in: complex, n_out: complex,
@@ -135,85 +145,140 @@ def stack_response(layers: Sequence[Layer], n_in: complex, n_out: complex,
 
 def transmission_spectrum(layers: Sequence[Layer], n_in: complex, n_out: complex,
                           lams: np.ndarray) -> np.ndarray:
-    M = _stack_matrices(layers, lams)
-    _, t = _rt_from_matrix(M, complex(n_in), complex(n_out))
-    return np.real(n_out) / np.real(n_in) * np.abs(t) ** 2
+    n_out = complex(n_out)
+    B, C = _exit_vector(_stack_matrices(layers, lams), n_out)
+    return _transmittance(B, C, complex(n_in), n_out)
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> float:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+def _gap_spectrum(assembly: CavityAssembly, lams: np.ndarray):
+    """T(lams) of the assembly as a function of its air-gap layer.
+
+    Only the gap depends on L.  The product P of the layers below it
+    (bottom DBR, diamond) and the top DBR's exit vector Q @ [1, n_out] are
+    computed here once; each call applies the gap layer and then P, as two
+    2-vector updates, so no per-gap matrix stack is kept.
+    """
+    layers = assembly.layers()
+    i = next(k for k, ly in enumerate(layers) if ly is assembly.air_gap)
+    n_in, n_out = assembly.n_in, assembly.n_out
+    P = _stack_matrices(layers[:i], lams)
+    v0, v1 = _exit_vector(_stack_matrices(layers[i + 1:], lams), n_out)
+
+    def spectrum(gap: Layer) -> np.ndarray:
+        c, a, b = _layer_entries(gap.n, gap.thickness, lams)
+        w0, w1 = c * v0 + a * v1, b * v0 + c * v1
+        return _transmittance(P[:, 0, 0] * w0 + P[:, 0, 1] * w1,
+                              P[:, 1, 0] * w0 + P[:, 1, 1] * w1, n_in, n_out)
+    return spectrum
+
+
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Golden-section maxima of f on the brackets [a_k, b_k].
+
+    The brackets advance in lock-step: each step is one call of f over the
+    brackets still wider than tol, and each bracket takes exactly the steps
+    it would take alone.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = np.split(f(np.concatenate([c, d])), 2)
+    live = np.flatnonzero((b - a) > tol)
+    while live.size:
+        left = fc[live] > fd[live]
+        lo, hi = live[left], live[~left]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - _INVPHI * (b[lo] - a[lo])
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + _INVPHI * (b[hi] - a[hi])
+        fc[lo], fd[hi] = np.split(f(np.concatenate([c[lo], d[hi]])), [lo.size])
+        live = live[(b[live] - a[live]) > tol]
     return 0.5 * (a + b)
 
 
-def _lorentzian_fwhm(f, lam0: float, T0: float) -> float:
-    """Cold linewidth from a local Lorentzian fit of the transmission peak.
+def _lorentzian_fwhm(f, lam0: np.ndarray, T0: np.ndarray) -> np.ndarray:
+    """Cold linewidths from local Lorentzian fits of the transmission peaks
+    at lam0 (peak values T0); one call of f serves every peak's fit grid.
 
     Survives 1e-5-level peak transmissions where half-max bracketing on a
     coarse grid would fail.
     """
-    # bracket the half-max point by doubling an offset
-    d = 1e-5  # nm
-    while f(lam0 + d) > 0.5 * T0 and d < 50.0:
-        d *= 2.0
-    offsets = np.linspace(-3.0 * d, 3.0 * d, 61)
-    Ts = np.array([f(lam0 + o) for o in offsets])
-    # 1/T of a Lorentzian is quadratic in detuning: fit T0/T = 1 + (2x/w)^2
-    y = T0 / np.maximum(Ts, 1e-300) - 1.0
-    coef = np.polyfit(offsets, y, 2)
-    a = max(coef[0], 1e-300)
-    return 2.0 / np.sqrt(a)
+    # bracket each half-max point by doubling an offset
+    d = np.full(lam0.size, 1e-5)  # nm
+    live = np.arange(lam0.size)
+    while live.size:
+        above = f(lam0[live] + d[live]) > 0.5 * T0[live]
+        live = live[above & (d[live] < 50.0)]
+        d[live] *= 2.0
+    offsets = [np.linspace(-3.0 * dk, 3.0 * dk, 61) for dk in d]
+    Ts = f(np.concatenate([l0 + o for l0, o in zip(lam0, offsets)]))
+    fwhm = np.empty(lam0.size)
+    for k, (o, T) in enumerate(zip(offsets, np.split(Ts, lam0.size))):
+        # 1/T of a Lorentzian is quadratic in detuning: fit T0/T = 1 + (2x/w)^2
+        y = T0[k] / np.maximum(T, 1e-300) - 1.0
+        coef = np.polyfit(o, y, 2)
+        fwhm[k] = 2.0 / np.sqrt(max(coef[0], 1e-300))
+    return fwhm
+
+
+def _scan_grid(lam_window: tuple[float, float], scan_step: float) -> np.ndarray:
+    lo, hi = lam_window
+    return np.arange(lo, hi + scan_step, scan_step)
+
+
+def _refine_peaks(assembly: CavityAssembly, lams: np.ndarray, T: np.ndarray,
+                  lam_window: tuple[float, float]) -> list[dict]:
+    """Resonances from a scan T(lams) of the assembly: pick the local maxima
+    above a floor, then refine them all in lock-step on the full stack."""
+    floor = max(T.max() * 1e-6, 1e-12)
+    mid = T[1:-1]
+    peaks = np.flatnonzero((mid > T[:-2]) & (mid >= T[2:]) & (mid > floor)) + 1
+    if not peaks.size:
+        return []
+
+    layers = assembly.layers()
+
+    def f(lam):
+        return transmission_spectrum(layers, assembly.n_in, assembly.n_out, lam)
+
+    lam_res = _golden_max(f, lams[peaks - 1], lams[peaks + 1], tol=1e-6)
+    T0 = f(lam_res)
+    fwhm = _lorentzian_fwhm(f, lam_res, T0)
+    lo, hi = lam_window
+    out = []
+    for i, lam, w, t0 in zip(peaks, lam_res, fwhm, T0):
+        if (i <= 1 or i >= lams.size - 2
+                or lam - lo < 5.0 * w or hi - lam < 5.0 * w):
+            warnings.warn(f"transmission peak at {lam:.3f} nm abuts the window edge")
+        out.append({
+            "lambda_res": float(lam),
+            "cold_linewidth_nm": float(w),
+            "Q_cold": float(lam / w),
+            "peak_transmission": float(t0),
+        })
+    out.sort(key=lambda d: d["lambda_res"])
+    return out
 
 
 def find_resonances(assembly: CavityAssembly, lam_window: tuple[float, float],
                     scan_step: float = 0.001) -> list[dict]:
     """Transmission peaks of the assembly inside lam_window.
 
+    Scans T on a scan_step grid, picks its local maxima, then refines all of
+    them in lock-step: a golden-section search to 1e-6 nm on one bracket of
+    two grid steps per peak, and a Lorentzian fit of 1/T on a 61-point grid
+    spanning +-3 half-max offsets for the cold linewidth.  Each step is one
+    vectorised TMM call over every peak still refining.
+
     Returns one dict per resonance: lambda_res (nm), cold_linewidth_nm,
     Q_cold.  Empty list when no peak lies in the window.
     """
-    layers = assembly.layers()
-    n_in, n_out = assembly.n_in, assembly.n_out
-    lo, hi = lam_window
-    lams = np.arange(lo, hi + scan_step, scan_step)
-    T = transmission_spectrum(layers, n_in, n_out, lams)
-
-    def f(lam):
-        return transmission_spectrum(layers, n_in, n_out, np.array([lam]))[0]
-
-    floor = max(T.max() * 1e-6, 1e-12)
-    peaks = []
-    for i in range(1, lams.size - 1):
-        if T[i] > T[i - 1] and T[i] >= T[i + 1] and T[i] > floor:
-            peaks.append(i)
-    out = []
-    for i in peaks:
-        lam_res = _golden_max(f, lams[max(i - 1, 0)], lams[min(i + 1, lams.size - 1)],
-                              tol=1e-6)
-        T0 = f(lam_res)
-        fwhm = _lorentzian_fwhm(f, lam_res, T0)
-        if (i <= 1 or i >= lams.size - 2
-                or lam_res - lo < 5.0 * fwhm or hi - lam_res < 5.0 * fwhm):
-            warnings.warn(f"transmission peak at {lam_res:.3f} nm abuts the window edge")
-        out.append({
-            "lambda_res": float(lam_res),
-            "cold_linewidth_nm": float(fwhm),
-            "Q_cold": float(lam_res / fwhm),
-            "peak_transmission": float(T0),
-        })
-    out.sort(key=lambda d: d["lambda_res"])
-    return out
+    lams = _scan_grid(lam_window, scan_step)
+    T = transmission_spectrum(assembly.layers(), assembly.n_in, assembly.n_out, lams)
+    return _refine_peaks(assembly, lams, T, lam_window)
 
 
 def field_profile(assembly: CavityAssembly, lam_res: float,
@@ -298,6 +363,13 @@ def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
                    scan_step: float = 0.002) -> list[ModeBranch]:
     """Track resonances across an air-gap scan into continuous branches.
 
+    The resonances at each L are those find_resonances(assembly.with_air_gap(L),
+    lam_window, scan_step) returns, found by the same pick-and-refine step.
+    Only the scan is cheaper: the layers below and above the gap do not
+    depend on L, so their parts of the stack are computed once on the
+    wavelength grid and each L applies only the gap layer.  One L is held at
+    a time.
+
     Branch association is nearest-neighbor in (L, lambda) with slope
     extrapolation; slopes are centered differences along each branch.
     """
@@ -305,11 +377,13 @@ def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
     if not np.all(np.diff(L_values) > 0):
         raise ValueError("L grid must be strictly increasing")
 
+    grid = _scan_grid(lam_window, scan_step)
+    spectrum = _gap_spectrum(assembly, grid)
     open_branches: list[list[BranchSample]] = []
     closed: list[list[BranchSample]] = []
     for L in L_values:
-        res = find_resonances(assembly.with_air_gap(L), lam_window,
-                              scan_step=scan_step)
+        cavity = assembly.with_air_gap(L)
+        res = _refine_peaks(cavity, grid, spectrum(cavity.air_gap), lam_window)
         lams = [r["lambda_res"] for r in res]
         matched = set()
         next_open = []

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -156,6 +159,17 @@ def test_report_missing_emitter_exits_2(tmp_path):
     assert _run(["report", "--config", str(cfg)]) == 2
 
 
+def test_report_bare_cavity_exits_3(tmp_path):
+    # no diamond layer: the vacuum field at the diamond maximum is undefined,
+    # a physics-domain failure rather than an input error
+    from cavityforge.config import paper_baseline_dict
+    doc = paper_baseline_dict()
+    doc["cavity"]["t_d_nm"] = 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert _run(["report", "--config", str(cfg), "-o", str(tmp_path / "r.json")]) == 3
+
+
 # ------------------------------------------------------------------- design
 
 
@@ -200,3 +214,18 @@ def test_bundled_data_matches_generators(tmp_path):
     assert _run(["synth", "lateral", "--seed", "2", "--noise-frac", "0.02",
                  "-o", str(regen2)]) == 0
     assert regen2.read_bytes() == (DATA / "zpl6_lateral.csv").read_bytes()
+
+
+# -------------------------------------------------------------------- import
+
+
+def test_cli_import_defers_scipy_optimize():
+    # only the fits need scipy.optimize; report, design and dispersion skip
+    # its import cost
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                      env.get("PYTHONPATH")]))
+    code = "import sys, cavityforge.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

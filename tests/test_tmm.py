@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,3 +211,69 @@ def test_dispersion_branches_monotone(baseline_assembly):
         slopes = np.array([s.slope for s in br.samples])
         assert np.all((slopes > 0.0) & (slopes < 1.0))
         assert br.character in ("air-like", "diamond-like", "mixed")
+
+
+@pytest.fixture(scope="module")
+def paper_cavity():
+    from cavityforge.config import paper_baseline_dict, parse_config
+    return parse_config(paper_baseline_dict()).cavity
+
+
+@pytest.mark.parametrize("L_values", [[1500.0, 1520.0, 1540.0],
+                                      [4460.0, 4480.0, 4500.0]])
+def test_gap_scan_agrees_with_public_path(paper_cavity, L_values):
+    # dispersion_map scans with the L-independent stack parts cached; its
+    # resonances must be exactly those find_resonances returns at each L
+    from cavityforge.tmm import _gap_spectrum, _refine_peaks, _scan_grid
+    window, step = (600.0, 700.0), 0.005
+    grid = _scan_grid(window, step)
+    spectrum = _gap_spectrum(paper_cavity, grid)
+    found = {}
+    for L in L_values:
+        cav = paper_cavity.with_air_gap(L)
+        T_split = spectrum(cav.air_gap)
+        T_full = transmission_spectrum(cav.layers(), cav.n_in, cav.n_out, grid)
+        assert np.max(np.abs(T_split - T_full)) < 1e-12
+        found[L] = find_resonances(cav, window, step)
+        assert len(found[L]) >= 2
+        assert _refine_peaks(cav, grid, T_split, window) == found[L]
+    branches = dispersion_map(paper_cavity, np.array(L_values), window, step)
+    samples = [s for br in branches for s in br.samples]
+    assert samples
+    for s in samples:
+        assert s.lambda_res in [r["lambda_res"] for r in found[s.L]]
+
+
+def test_lockstep_refinement_is_independent_per_peak(paper_cavity):
+    # a dyadic scan step keeps every grid point exact, so a narrow window
+    # scans the same wavelengths around its peak as the wide one does
+    step = 2.0 ** -8
+    cav = paper_cavity.with_air_gap(4400.0)
+    wide = find_resonances(cav, (600.0, 700.0), step)
+    assert len(wide) >= 3
+    for peak in wide:
+        lo = float(np.floor(peak["lambda_res"])) - 1.0
+        alone = find_resonances(cav, (lo, lo + 3.0), step)
+        assert len(alone) == 1
+        assert alone[0]["lambda_res"] == peak["lambda_res"]
+        assert alone[0]["cold_linewidth_nm"] == peak["cold_linewidth_nm"]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(min_value=1500.0, max_value=4500.0))
+def test_resonances_invariant_under_halved_scan_step(paper_cavity, L):
+    # peaks within 0.05 nm of the window edge may fall off either grid
+    window = (630.0, 645.0)
+    cav = paper_cavity.with_air_gap(L)
+
+    def interior(step):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = find_resonances(cav, window, step)
+        return [r["lambda_res"] for r in res
+                if window[0] + 0.05 < r["lambda_res"] < window[1] - 0.05]
+
+    coarse, fine = interior(0.004), interior(0.002)
+    assert len(coarse) == len(fine)
+    # two golden-section tolerances
+    assert np.allclose(coarse, fine, rtol=0.0, atol=2e-6)
