@@ -15,9 +15,8 @@ import numpy as np
 from .constants import CONSTANTS
 from .cqed import coupling_rate, dipole_from_lifetime, purcell_zpl_theory, transform_limit
 from .gaussian import beam_waist, effective_area, vacuum_field
-from .stack import (EmitterSpec, GeometryError, MirrorSpec, assemble_cavity, build_dbr,
-                    emitter_rates)
-from .tmm import ResonanceError, field_profile, stack_response
+from .stack import EmitterSpec, GeometryError, MirrorSpec, assemble_cavity, emitter_rates
+from .tmm import ResonanceError, _round_trip, field_profile
 
 # eta reported side-by-side for the commonly assumed ZPL branching fractions;
 # the headline eta uses 2.0 %, the headline transform limit the
@@ -78,17 +77,15 @@ def _tune_air_gap(bottom, top, t_d, L_nominal, R_um, lam_target,
                   search_halfwidth=170.0, waist_fwhm_um=None):
     """Air gap nearest L_nominal whose resonance sits at lam_target.
 
-    Closes the round-trip phase of the gap, 4 pi L / lam - arg r_b - arg r_t
-    = 2 pi m (signs of the solver's +i sin(delta) layer matrices), with r_b
-    (diamond plus bottom DBR) and r_t (top DBR) the reflection coefficients
-    seen from the air.  The candidate gaps are spaced by lam / 2.
+    Closes the round-trip phase of the gap, 4 pi L / lam + arg r_b + arg r_t
+    = 2 pi m, with r_b (diamond plus bottom DBR) and r_t (top DBR) the
+    reflection coefficients seen from the air.  The candidate gaps are
+    spaced by lam / 2.
     """
     base = assemble_cavity(bottom, t_d, max(L_nominal, 1.0), top, R_um,
                            waist_fwhm_um=waist_fwhm_um)
     lam = lam_target
-    r_b = stack_response([base.diamond, *build_dbr(bottom)], 1.0, base.n_in, lam).r
-    r_t = stack_response(build_dbr(top), 1.0, base.n_out, lam).r
-    offset = (np.angle(r_b) + np.angle(r_t)) * lam / (4.0 * np.pi)
+    offset = -np.angle(_round_trip(base, np.array([lam]))[0]) * lam / (4.0 * np.pi)
     period = lam / 2.0
     lo = max(L_nominal - search_halfwidth, 50.0)
     hi = L_nominal + search_halfwidth

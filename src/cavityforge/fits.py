@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import erf, wofz
 
 _SQRT2LN2 = np.sqrt(2.0 * np.log(2.0))
 MAX_ITER = 500
@@ -138,6 +137,7 @@ def voigt_profile(x, center, amplitude, fwhm_g, fwhm_l, offset):
     Evaluated with the Faddeeva function (accuracy well below 1e-6).
     A vanishing Gaussian component collapses to the Lorentzian limit.
     """
+    from scipy.special import wofz  # deferred: slow to import
     sigma = max(fwhm_g, 1e-12 * max(fwhm_l, 1.0)) / (2.0 * _SQRT2LN2)
     gamma = fwhm_l / 2.0
     z = ((x - center) + 1j * gamma) / (sigma * np.sqrt(2.0))
@@ -217,6 +217,7 @@ def exp_gauss_decay(t, tau, amplitude, baseline, sigma, t0=0.0):
                  (1 + erf((t - t0 - sigma^2/tau)/(sigma sqrt(2)))).
     sigma -> 0 reduces to a step exponential.
     """
+    from scipy.special import erf  # deferred: slow to import
     dt = t - t0
     if sigma <= 0:
         return baseline + amplitude * np.where(dt >= 0, np.exp(-dt / np.maximum(tau, 1e-12)), 0.0)

@@ -1,8 +1,8 @@
 """One-dimensional transfer-matrix solver at normal incidence.
 
-Spectra, resonance finding, mode dispersion lambda_res(L) and
-intracavity standing-wave field profiles.  Scalar (polarization-
-degenerate) treatment; wavelengths in nm.
+Spectra, resonances (roots of the round-trip phase closure), mode
+dispersion lambda_res(L) and intracavity standing-wave field profiles.
+Scalar (polarization-degenerate) treatment; wavelengths in nm.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .stack import CavityAssembly, Layer
+from .stack import CavityAssembly, Layer, MirrorSpec, build_dbr
 
 
 @dataclass(frozen=True)
@@ -36,20 +36,12 @@ class BranchSample:
 @dataclass
 class ModeBranch:
     samples: list[BranchSample]
+    order: int = 0                 # mode order m, counted from the window's start
     character: str = "mixed"       # "air-like" | "diamond-like" | "mixed"
-
-    @property
-    def L_values(self) -> np.ndarray:
-        return np.array([s.L for s in self.samples])
 
     @property
     def lambda_values(self) -> np.ndarray:
         return np.array([s.lambda_res for s in self.samples])
-
-    def slope_at(self, lam: float) -> float:
-        """Local slope of the branch at the sample closest to wavelength lam."""
-        i = int(np.argmin(np.abs(self.lambda_values - lam)))
-        return self.samples[i].slope
 
 
 @dataclass
@@ -76,11 +68,15 @@ class ResonanceError(RuntimeError):
 
 
 def _layer_entries(n: complex, thickness, lam):
-    """Entries (cos d, i sin d / n, i n sin d) of a layer's characteristic
-    matrix, d = 2 pi n thickness / lam; thickness or lam may be arrays."""
+    """Entries (cos d, -i sin d / n, -i n sin d) of a layer's characteristic
+    matrix, d = 2 pi n thickness / lam; thickness or lam may be arrays.
+
+    The -i signs belong to fields ~ exp(i(kz - wt)), so Im n > 0 absorbs,
+    as Layer documents (Born & Wolf, Principles of Optics, 1.6).
+    """
     delta = 2.0 * np.pi * n * thickness / lam
     c, s = np.cos(delta), np.sin(delta)
-    return c, 1j * s / n, 1j * n * s
+    return c, -1j * s / n, -1j * n * s
 
 
 def characteristic_matrix(layer: Layer, lam: float) -> np.ndarray:
@@ -150,78 +146,56 @@ def transmission_spectrum(layers: Sequence[Layer], n_in: complex, n_out: complex
     return _transmittance(B, C, complex(n_in), n_out)
 
 
-def _gap_spectrum(assembly: CavityAssembly, lams: np.ndarray):
-    """T(lams) of the assembly as a function of its air-gap layer.
+def _dbr_entries(spec: MirrorSpec, lams: np.ndarray):
+    """Characteristic-matrix entries (m00, m01, m10, m11) of a quarter-wave
+    DBR, cavity side first.
 
-    Only the gap depends on L.  The product P of the layers below it
-    (bottom DBR, diamond) and the top DBR's exit vector Q @ [1, n_out] are
-    computed here once; each call applies the gap layer and then P, as two
-    2-vector updates, so no per-gap matrix stack is kept.
+    For the pair matrix P (det P = 1) the N-period product is
+    P^N = U_{N-1}(x) P - U_{N-2}(x) I, x = tr(P) / 2, with U the Chebyshev
+    polynomials of the second kind (Abeles; Born & Wolf 1.6.5).
     """
-    layers = assembly.layers()
-    i = next(k for k, ly in enumerate(layers) if ly is assembly.air_gap)
-    n_in, n_out = assembly.n_in, assembly.n_out
-    P = _stack_matrices(layers[:i], lams)
-    v0, v1 = _exit_vector(_stack_matrices(layers[i + 1:], lams), n_out)
-
-    def spectrum(gap: Layer) -> np.ndarray:
-        c, a, b = _layer_entries(gap.n, gap.thickness, lams)
-        w0, w1 = c * v0 + a * v1, b * v0 + c * v1
-        return _transmittance(P[:, 0, 0] * w0 + P[:, 0, 1] * w1,
-                              P[:, 1, 0] * w0 + P[:, 1, 1] * w1, n_in, n_out)
-    return spectrum
+    first, second = build_dbr(spec)[:2]
+    c1, a1, b1 = _layer_entries(first.n, first.thickness, lams)
+    c2, a2, b2 = _layer_entries(second.n, second.thickness, lams)
+    p00, p01 = c1 * c2 + a1 * b2, c1 * a2 + a1 * c2
+    p10, p11 = b1 * c2 + c1 * b2, b1 * a2 + c1 * c2
+    two_x = p00 + p11
+    u_prev, u = np.zeros_like(p00), np.ones_like(p00)
+    for _ in range(spec.pairs - 1):
+        u_prev, u = u, two_x * u - u_prev
+    return u * p00 - u_prev, u * p01, u * p10, u * p11 - u_prev
 
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+def _air_side_r(m, n_out: complex):
+    """Reflection coefficient, seen from the air, of a stack with
+    characteristic-matrix entries m on an exit medium n_out."""
+    B, C = m[0] + m[1] * n_out, m[2] + m[3] * n_out
+    return (B - C) / (B + C)
 
 
-def _golden_max(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Golden-section maxima of f on the brackets [a_k, b_k].
-
-    The brackets advance in lock-step: each step is one call of f over the
-    brackets still wider than tol, and each bracket takes exactly the steps
-    it would take alone.
+def _round_trip(assembly: CavityAssembly, lams: np.ndarray) -> np.ndarray:
+    """Mirror product z = r_b r_t at lams, with r_b (diamond plus bottom
+    DBR) and r_t (top DBR) seen from the air gap; z does not depend on the
+    gap length L.  A mode closes the round-trip phase:
+    phi(lam; L) = 4 pi L / lam + arg z(lam) = 2 pi m.
     """
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = np.split(f(np.concatenate([c, d])), 2)
-    live = np.flatnonzero((b - a) > tol)
-    while live.size:
-        left = fc[live] > fd[live]
-        lo, hi = live[left], live[~left]
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = b[lo] - _INVPHI * (b[lo] - a[lo])
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = a[hi] + _INVPHI * (b[hi] - a[hi])
-        fc[lo], fd[hi] = np.split(f(np.concatenate([c[lo], d[hi]])), [lo.size])
-        live = live[(b[live] - a[live]) > tol]
-    return 0.5 * (a + b)
+    lams = np.asarray(lams, dtype=float)
+    m = _dbr_entries(assembly.bottom_mirror, lams)
+    d = assembly.diamond
+    if d.thickness > 0:
+        c, a, b = _layer_entries(d.n, d.thickness, lams)
+        m = (c * m[0] + a * m[2], c * m[1] + a * m[3],
+             b * m[0] + c * m[2], b * m[1] + c * m[3])
+    return (_air_side_r(m, assembly.n_in)
+            * _air_side_r(_dbr_entries(assembly.top_mirror, lams), assembly.n_out))
 
 
-def _lorentzian_fwhm(f, lam0: np.ndarray, T0: np.ndarray) -> np.ndarray:
-    """Cold linewidths from local Lorentzian fits of the transmission peaks
-    at lam0 (peak values T0); one call of f serves every peak's fit grid.
-
-    Survives 1e-5-level peak transmissions where half-max bracketing on a
-    coarse grid would fail.
-    """
-    # bracket each half-max point by doubling an offset
-    d = np.full(lam0.size, 1e-5)  # nm
-    live = np.arange(lam0.size)
-    while live.size:
-        above = f(lam0[live] + d[live]) > 0.5 * T0[live]
-        live = live[above & (d[live] < 50.0)]
-        d[live] *= 2.0
-    offsets = [np.linspace(-3.0 * dk, 3.0 * dk, 61) for dk in d]
-    Ts = f(np.concatenate([l0 + o for l0, o in zip(lam0, offsets)]))
-    fwhm = np.empty(lam0.size)
-    for k, (o, T) in enumerate(zip(offsets, np.split(Ts, lam0.size))):
-        # 1/T of a Lorentzian is quadratic in detuning: fit T0/T = 1 + (2x/w)^2
-        y = T0[k] / np.maximum(T, 1e-300) - 1.0
-        coef = np.polyfit(o, y, 2)
-        fwhm[k] = 2.0 / np.sqrt(max(coef[0], 1e-300))
-    return fwhm
+def _fwhm_phase(assembly: CavityAssembly, z):
+    """Cold FWHM of the Airy peak in round-trip phase, 2 (1 - rho) / sqrt(rho),
+    where rho = |z| sqrt((1 - l_b)(1 - l_t)) counts the mirrors' lumped losses."""
+    rho = np.abs(z) * np.sqrt((1.0 - assembly.bottom_mirror.lumped_loss)
+                              * (1.0 - assembly.top_mirror.lumped_loss))
+    return 2.0 * (1.0 - rho) / np.sqrt(rho)
 
 
 def _scan_grid(lam_window: tuple[float, float], scan_step: float) -> np.ndarray:
@@ -229,56 +203,105 @@ def _scan_grid(lam_window: tuple[float, float], scan_step: float) -> np.ndarray:
     return np.arange(lo, hi + scan_step, scan_step)
 
 
-def _refine_peaks(assembly: CavityAssembly, lams: np.ndarray, T: np.ndarray,
-                  lam_window: tuple[float, float]) -> list[dict]:
-    """Resonances from a scan T(lams) of the assembly: pick the local maxima
-    above a floor, then refine them all in lock-step on the full stack."""
-    floor = max(T.max() * 1e-6, 1e-12)
-    mid = T[1:-1]
-    peaks = np.flatnonzero((mid > T[:-2]) & (mid >= T[2:]) & (mid > floor)) + 1
-    if not peaks.size:
-        return []
+_DLAM = 1e-4  # nm, central-difference step of the mirror phase slope
 
-    layers = assembly.layers()
 
-    def f(lam):
-        return transmission_spectrum(layers, assembly.n_in, assembly.n_out, lam)
+@dataclass
+class _Roots:
+    index: np.ndarray     # into the L values
+    lam: np.ndarray       # nm
+    order: np.ndarray     # mode order m, counted from the grid's first point
+    width: np.ndarray     # cold FWHM, nm
 
-    lam_res = _golden_max(f, lams[peaks - 1], lams[peaks + 1], tol=1e-6)
-    T0 = f(lam_res)
-    fwhm = _lorentzian_fwhm(f, lam_res, T0)
+
+def _phase_roots(assembly: CavityAssembly, lam_window: tuple[float, float],
+                 scan_step: float, L_values: np.ndarray) -> _Roots:
+    """Resonances of the assembly at every air gap in L_values: the roots
+    in lambda of phi(lam; L) = 2 pi m in lam_window, in order of L, then
+    of lambda.
+
+    The mirror product z comes once, on the scan_step grid.  Each L
+    brackets its 2 pi m crossings between adjacent grid points; then Newton
+    steps on the exact mirror matrices refine all roots in lock-step, each
+    until its step stops shrinking (a fixed point).  A root's iteration
+    reads only its own bracket, so it does not depend on the window's
+    extent.  Roots within five linewidths of the window edge warn.
+    """
+    grid = _scan_grid(lam_window, scan_step)
+    z_grid = _round_trip(assembly, grid)
+    wrapped = np.angle(z_grid)
+    theta = np.unwrap(wrapped)
+    # whole turns the unwrapping added at each grid point
+    turns = np.rint((theta - wrapped) / (2.0 * np.pi))
+    k = 4.0 * np.pi / grid
+    index, j, order = [], [], []
+    for i, L in enumerate(L_values):
+        o = np.floor((L * k + theta) / (2.0 * np.pi))
+        jj = np.flatnonzero(o[1:] != o[:-1])
+        index.append(np.full(jj.size, i))
+        j.append(jj)
+        order.append(np.maximum(o[jj], o[jj + 1]))
+    index, j, order = (np.concatenate(a) for a in (index, j, order))
+    L = np.asarray(L_values, dtype=float)[index]
+
+    # phase relative to the bracket's first grid point: f = 0 at the root
+    z_ref = z_grid[j].conj()
+    target = 2.0 * np.pi * (order - turns[j]) - wrapped[j]
+    f_lo = L * k[j] - target
+    f_hi = L * k[j + 1] + np.angle(z_grid[j + 1] * z_ref) - target
+    lam = grid[j] + (grid[j + 1] - grid[j]) * f_lo / (f_lo - f_hi)
+
+    z, slope = np.empty(lam.size, complex), np.empty(lam.size)
+    last = np.full(lam.size, np.inf)
+    live = np.arange(lam.size)
+    for _ in range(50):  # a guard only: roots settle within a few steps
+        if not live.size:
+            break
+        x = lam[live]
+        z0, zp, zm = np.split(
+            _round_trip(assembly, np.concatenate([x, x + _DLAM, x - _DLAM])), 3)
+        f = 4.0 * np.pi * L[live] / x + np.angle(z0 * z_ref[live]) - target[live]
+        d = (-4.0 * np.pi * L[live] / x ** 2
+             + np.angle(zp * zm.conj()) / (2.0 * _DLAM))
+        z[live], slope[live] = z0, d
+        step = f / d
+        go = np.abs(step) < last[live]
+        live, step = live[go], step[go]
+        lam[live] -= step
+        last[live] = np.abs(step)
+        live = live[step != 0.0]
+    width = _fwhm_phase(assembly, z) / np.abs(slope)
     lo, hi = lam_window
-    out = []
-    for i, lam, w, t0 in zip(peaks, lam_res, fwhm, T0):
-        if (i <= 1 or i >= lams.size - 2
-                or lam - lo < 5.0 * w or hi - lam < 5.0 * w):
-            warnings.warn(f"transmission peak at {lam:.3f} nm abuts the window edge")
-        out.append({
-            "lambda_res": float(lam),
-            "cold_linewidth_nm": float(w),
-            "Q_cold": float(lam / w),
-            "peak_transmission": float(t0),
-        })
-    out.sort(key=lambda d: d["lambda_res"])
-    return out
+    for edge in lam[(lam - lo < 5.0 * width) | (hi - lam < 5.0 * width)]:
+        warnings.warn(f"transmission peak at {edge:.3f} nm abuts the window edge")
+    return _Roots(index, lam, order, width)
 
 
 def find_resonances(assembly: CavityAssembly, lam_window: tuple[float, float],
                     scan_step: float = 0.001) -> list[dict]:
-    """Transmission peaks of the assembly inside lam_window.
+    """Resonances of the assembly inside lam_window.
 
-    Scans T on a scan_step grid, picks its local maxima, then refines all of
-    them in lock-step: a golden-section search to 1e-6 nm on one bracket of
-    two grid steps per peak, and a Lorentzian fit of 1/T on a 61-point grid
-    spanning +-3 half-max offsets for the cold linewidth.  Each step is one
-    vectorised TMM call over every peak still refining.
+    A resonance is a root of the round-trip phase closure
+    phi(lam) = 4 pi L / lam + arg(r_b r_t) = 2 pi m, with r_b (diamond plus
+    bottom DBR) and r_t (top DBR) seen from the air gap.  The scan_step grid
+    only brackets the roots, so it must stay well below one free spectral
+    range; Newton steps on the exact mirror matrices then find each root
+    to a fixed point.  The cold linewidth is the closed-form Airy FWHM
+    2 (1 - rho) / (sqrt(rho) |dphi/dlam|), rho = |r_b r_t| times the
+    mirrors' lumped-loss factor sqrt((1 - l_b)(1 - l_t)).  Peaks within
+    five linewidths of the window edge raise a warning.
 
     Returns one dict per resonance: lambda_res (nm), cold_linewidth_nm,
-    Q_cold.  Empty list when no peak lies in the window.
+    Q_cold, peak_transmission.  Empty list when no root lies in the window.
     """
-    lams = _scan_grid(lam_window, scan_step)
-    T = transmission_spectrum(assembly.layers(), assembly.n_in, assembly.n_out, lams)
-    return _refine_peaks(assembly, lams, T, lam_window)
+    roots = _phase_roots(assembly, lam_window, scan_step, np.array([assembly.L]))
+    T0 = transmission_spectrum(assembly.layers(), assembly.n_in, assembly.n_out,
+                               roots.lam)
+    return [{"lambda_res": float(lam),
+             "cold_linewidth_nm": float(w),
+             "Q_cold": float(lam / w),
+             "peak_transmission": float(t0)}
+            for lam, w, t0 in zip(roots.lam, roots.width, T0)]
 
 
 def field_profile(assembly: CavityAssembly, lam_res: float,
@@ -287,21 +310,19 @@ def field_profile(assembly: CavityAssembly, lam_res: float,
 
     Unit-amplitude illumination from the bottom substrate; amplitudes are
     relative.  Rejects wavelengths more than one cold linewidth away from
-    the nearest transmission peak.
+    resonance, judged by the round-trip phase at lam_res.
     """
     layers = [ly for ly in assembly.layers() if ly.thickness > 0]
     n_in, n_out = assembly.n_in, assembly.n_out
 
-    # on-resonance check within one cold linewidth
-    near = find_resonances(assembly, (lam_res - 0.5, lam_res + 0.5))
-    if not near:
-        raise ResonanceError(f"no resonance within 0.5 nm of {lam_res} nm")
-    best = min(near, key=lambda d: abs(d["lambda_res"] - lam_res))
-    if abs(best["lambda_res"] - lam_res) > best["cold_linewidth_nm"]:
+    # on resonance: the round-trip phase is within one cold linewidth of 2 pi m
+    z = _round_trip(assembly, np.array([lam_res]))[0]
+    miss = abs(float(np.angle(z * np.exp(4j * np.pi * assembly.L / lam_res))))
+    width = float(_fwhm_phase(assembly, z))
+    if miss > width:
         raise ResonanceError(
-            f"{lam_res} nm is {abs(best['lambda_res'] - lam_res):.4g} nm from the "
-            f"nearest resonance ({best['lambda_res']:.6f} nm), more than one "
-            f"linewidth ({best['cold_linewidth_nm']:.4g} nm)")
+            f"{lam_res} nm is off resonance: its round-trip phase misses "
+            f"2 pi m by {miss:.4g} rad, more than one linewidth ({width:.4g} rad)")
 
     resp = stack_response(layers, n_in, n_out, lam_res)
     total = sum(ly.thickness for ly in layers)
@@ -361,63 +382,30 @@ def diamond_energy_fraction(profile: FieldProfile) -> float:
 def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
                    lam_window: tuple[float, float],
                    scan_step: float = 0.002) -> list[ModeBranch]:
-    """Track resonances across an air-gap scan into continuous branches.
+    """Resonances across an air-gap scan, as branches of fixed mode order.
 
-    The resonances at each L are those find_resonances(assembly.with_air_gap(L),
-    lam_window, scan_step) returns, found by the same pick-and-refine step.
-    Only the scan is cheaper: the layers below and above the gap do not
-    depend on L, so their parts of the stack are computed once on the
-    wavelength grid and each L applies only the gap layer.  One L is held at
-    a time.
-
-    Branch association is nearest-neighbor in (L, lambda) with slope
-    extrapolation; slopes are centered differences along each branch.
+    At each L the resonances are the phase roots find_resonances returns,
+    found together for all L: the mirror phases do not depend on L, so they
+    are computed once on the scan_step grid, which must stay well below one
+    free spectral range.  A branch is the set of roots of one mode order m
+    of phi(lam; L) = 2 pi m; branches with fewer than two samples are
+    dropped.  Roots within five linewidths of the window edge warn, as in
+    find_resonances.  Slopes d(lambda)/dL are np.gradient along each branch.
     """
     L_values = np.asarray(L_values, dtype=float)
     if not np.all(np.diff(L_values) > 0):
         raise ValueError("L grid must be strictly increasing")
 
-    grid = _scan_grid(lam_window, scan_step)
-    spectrum = _gap_spectrum(assembly, grid)
-    open_branches: list[list[BranchSample]] = []
-    closed: list[list[BranchSample]] = []
-    for L in L_values:
-        cavity = assembly.with_air_gap(L)
-        res = _refine_peaks(cavity, grid, spectrum(cavity.air_gap), lam_window)
-        lams = [r["lambda_res"] for r in res]
-        matched = set()
-        next_open = []
-        for br in open_branches:
-            dL = L - br[-1].L
-            slope = 0.5
-            if len(br) >= 2:
-                slope = (br[-1].lambda_res - br[-2].lambda_res) / (br[-1].L - br[-2].L)
-            pred = br[-1].lambda_res + slope * dL
-            cand = [(abs(lam - pred), j) for j, lam in enumerate(lams) if j not in matched]
-            tol = max(3.0 * scan_step, 0.6 * dL)
-            if cand and min(cand)[0] < tol:
-                _, j = min(cand)
-                matched.add(j)
-                br.append(BranchSample(L, lams[j]))
-                next_open.append(br)
-            else:
-                closed.append(br)
-        for j, lam in enumerate(lams):
-            if j not in matched:
-                next_open.append([BranchSample(L, lam)])
-        open_branches = next_open
-    closed.extend(open_branches)
-
+    roots = _phase_roots(assembly, lam_window, scan_step, L_values)
     branches = []
-    for samples in closed:
-        if len(samples) < 2:
+    for m in np.unique(roots.order):
+        sel = np.flatnonzero(roots.order == m)
+        if sel.size < 2:
             continue
-        Ls = np.array([s.L for s in samples])
-        lams_ = np.array([s.lambda_res for s in samples])
-        slopes = np.gradient(lams_, Ls)
-        for s, sl in zip(samples, slopes):
-            s.slope = float(sl)
-        br = ModeBranch(samples)
+        Ls, lams = L_values[roots.index[sel]], roots.lam[sel]
+        slopes = np.gradient(lams, Ls)
+        br = ModeBranch([BranchSample(L, float(lam), float(sl))
+                         for L, lam, sl in zip(Ls, lams, slopes)], order=int(m))
         _classify_branch(assembly, br)
         branches.append(br)
     branches.sort(key=lambda b: (b.samples[0].L, b.samples[0].lambda_res))
@@ -429,15 +417,9 @@ def _classify_branch(assembly: CavityAssembly, branch: ModeBranch) -> None:
     idxs = {0, len(branch.samples) // 2, len(branch.samples) - 1}
     for i in sorted(idxs):
         s = branch.samples[i]
-        try:
-            prof = field_profile(assembly.with_air_gap(s.L), s.lambda_res)
-        except ResonanceError:
-            continue
-        frac = diamond_energy_fraction(prof)
-        s.diamond_fraction = frac
-        fracs.append(frac)
-    if not fracs:
-        return
+        prof = field_profile(assembly.with_air_gap(s.L), s.lambda_res)
+        s.diamond_fraction = diamond_energy_fraction(prof)
+        fracs.append(s.diamond_fraction)
     if max(fracs) < 0.25:
         branch.character = "air-like"
     elif min(fracs) > 0.75:

@@ -115,6 +115,50 @@ def test_composition_matches_matrix_product(layers, lam):
     assert abs(np.linalg.det(M_all) - 1.0) < 1e-9
 
 
+# --------------------------------------------- property: absorbing layers
+
+_lossy_layer = st.tuples(
+    st.floats(min_value=1.0, max_value=3.5),
+    st.floats(min_value=0.0, max_value=0.5),
+    st.floats(min_value=1.0, max_value=900.0),
+).map(lambda p: Layer("x", complex(p[0], p[1]), p[2]))
+
+
+def test_absorbing_slab_attenuates():
+    # Im n > 0 is loss: a 1000 nm slab with kappa = 0.1 passes less than
+    # its single-pass Beer-Lambert factor exp(-4 pi kappa d / lam)
+    resp = stack_response([Layer("a", 1.5 + 0.1j, 1000.0)], 1.0, 1.0, 637.0)
+    assert resp.T_power < np.exp(-4.0 * np.pi * 0.1 * 1000.0 / 637.0)
+    assert resp.R_power + resp.T_power < 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_lossy_layer, min_size=1, max_size=8), _indices, _wavelength)
+def test_absorbing_stacks_never_gain(layers, nio, lam):
+    n_in, n_out = nio
+    resp = stack_response(layers, n_in, n_out, lam)
+    assert resp.R_power + resp.T_power <= 1.0 + 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_lossy_layer.filter(lambda ly: ly.n.imag < 0.05), min_size=1,
+                max_size=8), _indices, _wavelength)
+def test_tangential_fields_continuous_at_every_interface(layers, nio, lam):
+    # [E, H] at each interface, walked down from the transmitted wave in
+    # the exit medium and up from the incident plus reflected wave in the
+    # entry medium, must be one and the same pair
+    n_in, n_out = nio
+    resp = stack_response(layers, n_in, n_out, lam)
+    down = [np.array([resp.t, n_out * resp.t])]
+    for ly in reversed(layers):
+        down.append(characteristic_matrix(ly, lam) @ down[-1])
+    up = [np.array([1.0 + resp.r, n_in * (1.0 - resp.r)])]
+    for ly in layers:
+        up.append(np.linalg.solve(characteristic_matrix(ly, lam), up[-1]))
+    for a, b in zip(down[::-1], up):
+        assert np.allclose(a, b, rtol=1e-8, atol=1e-8)
+
+
 # -------------------------------------------------------- resonance finding
 
 
@@ -190,6 +234,14 @@ def test_field_profile_rejects_detuned_wavelength(baseline_resonant):
         field_profile(asm, lam + 1.0)
 
 
+def test_field_profile_resonance_check_is_one_linewidth(baseline_assembly):
+    res = find_resonances(baseline_assembly, (630.0, 645.0), scan_step=0.002)[0]
+    lam, w = res["lambda_res"], res["cold_linewidth_nm"]
+    field_profile(baseline_assembly, lam + 0.9 * w)
+    with pytest.raises(ResonanceError):
+        field_profile(baseline_assembly, lam - 1.1 * w)
+
+
 def test_diamond_energy_fraction_bounds(baseline_resonant):
     asm, lam = baseline_resonant
     prof = field_profile(asm, lam)
@@ -205,6 +257,8 @@ def test_dispersion_branches_monotone(baseline_assembly):
     branches = dispersion_map(baseline_assembly, L_values, (600.0, 700.0),
                               scan_step=0.005)
     assert branches
+    # one branch per mode order of the round-trip phase
+    assert len({br.order for br in branches}) == len(branches)
     for br in branches:
         lam = br.lambda_values
         assert np.all(np.diff(lam) > 0)  # lambda_res strictly increases with L
@@ -219,24 +273,43 @@ def paper_cavity():
     return parse_config(paper_baseline_dict()).cavity
 
 
+def _half_max_width(lams, T):
+    """FWHM of the single peak of T(lams), half-max points interpolated."""
+    half = 0.5 * T.max()
+    i, k = np.flatnonzero(T >= half)[[0, -1]]
+    lo = np.interp(half, T[i - 1:i + 1], lams[i - 1:i + 1])
+    hi = np.interp(half, T[k:k + 2][::-1], lams[k:k + 2][::-1])
+    return hi - lo
+
+
 @pytest.mark.parametrize("L_values", [[1500.0, 1520.0, 1540.0],
                                       [4460.0, 4480.0, 4500.0]])
-def test_gap_scan_agrees_with_public_path(paper_cavity, L_values):
-    # dispersion_map scans with the L-independent stack parts cached; its
-    # resonances must be exactly those find_resonances returns at each L
-    from cavityforge.tmm import _gap_spectrum, _refine_peaks, _scan_grid
+def test_phase_roots_match_transmission_peaks(paper_cavity, L_values):
+    # resonances are roots of the round-trip phase: each must sit on a
+    # transmission maximum of the full stack, found on a dense grid, with
+    # the closed-form linewidth of that peak; dispersion_map must find
+    # exactly the roots find_resonances finds at each L
     window, step = (600.0, 700.0), 0.005
-    grid = _scan_grid(window, step)
-    spectrum = _gap_spectrum(paper_cavity, grid)
+    grid = np.arange(window[0], window[1] + step, step)
     found = {}
     for L in L_values:
         cav = paper_cavity.with_air_gap(L)
-        T_split = spectrum(cav.air_gap)
-        T_full = transmission_spectrum(cav.layers(), cav.n_in, cav.n_out, grid)
-        assert np.max(np.abs(T_split - T_full)) < 1e-12
         found[L] = find_resonances(cav, window, step)
-        assert len(found[L]) >= 2
-        assert _refine_peaks(cav, grid, T_split, window) == found[L]
+
+        def T(lams):
+            return transmission_spectrum(cav.layers(), cav.n_in, cav.n_out, lams)
+
+        Tg = T(grid)
+        scan_peaks = np.flatnonzero((Tg[1:-1] > Tg[:-2]) & (Tg[1:-1] >= Tg[2:]))
+        assert len(found[L]) == scan_peaks.size >= 2
+        for r in found[L]:
+            lam, w = r["lambda_res"], r["cold_linewidth_nm"]
+            dense = lam + np.linspace(-2e-4, 2e-4, 4001)
+            i = int(np.argmax(T(dense)))
+            assert 0 < i < dense.size - 1
+            assert abs(dense[i] - lam) < 1e-5
+            wide = lam + np.linspace(-1.5 * w, 1.5 * w, 3001)
+            assert w == pytest.approx(_half_max_width(wide, T(wide)), rel=1e-5)
     branches = dispersion_map(paper_cavity, np.array(L_values), window, step)
     samples = [s for br in branches for s in br.samples]
     assert samples
@@ -246,7 +319,8 @@ def test_gap_scan_agrees_with_public_path(paper_cavity, L_values):
 
 def test_lockstep_refinement_is_independent_per_peak(paper_cavity):
     # a dyadic scan step keeps every grid point exact, so a narrow window
-    # scans the same wavelengths around its peak as the wide one does
+    # brackets each root between the same two wavelengths as the wide one
+    # does, and Newton iterates each root to its own fixed point
     step = 2.0 ** -8
     cav = paper_cavity.with_air_gap(4400.0)
     wide = find_resonances(cav, (600.0, 700.0), step)
@@ -257,6 +331,22 @@ def test_lockstep_refinement_is_independent_per_peak(paper_cavity):
         assert len(alone) == 1
         assert alone[0]["lambda_res"] == peak["lambda_res"]
         assert alone[0]["cold_linewidth_nm"] == peak["cold_linewidth_nm"]
+
+
+def test_lumped_loss_lowers_q_cold(paper_cavity):
+    from dataclasses import replace
+    cav = paper_cavity.with_air_gap(1960.0)
+    window = (630.0, 645.0)
+    base = find_resonances(cav, window, 0.002)
+    assert base
+    zero = replace(cav, top_mirror=replace(cav.top_mirror, lumped_loss=0.0),
+                   bottom_mirror=replace(cav.bottom_mirror, lumped_loss=0.0))
+    assert find_resonances(zero, window, 0.002) == base
+    lossy = replace(cav, top_mirror=replace(cav.top_mirror, lumped_loss=1e-4))
+    got = find_resonances(lossy, window, 0.002)
+    assert [r["lambda_res"] for r in got] == [r["lambda_res"] for r in base]
+    for g, b in zip(got, base):
+        assert g["Q_cold"] < b["Q_cold"]
 
 
 @settings(max_examples=8, deadline=None)
@@ -275,5 +365,5 @@ def test_resonances_invariant_under_halved_scan_step(paper_cavity, L):
 
     coarse, fine = interior(0.004), interior(0.002)
     assert len(coarse) == len(fine)
-    # two golden-section tolerances
-    assert np.allclose(coarse, fine, rtol=0.0, atol=2e-6)
+    # both grids only bracket the same phase roots
+    assert np.allclose(coarse, fine, rtol=0.0, atol=1e-9)
