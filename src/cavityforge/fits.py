@@ -2,13 +2,32 @@
 
 Voigt/Lorentzian/Gaussian profile fits, IRF-convolved exponential decay
 fits (closed exGaussian form) and pulsed-autocorrelation peak-area
-normalization.  Initial guesses come from moment estimates; the damped
-least-squares solves are bounded to 500 iterations at 1e-10 relative
-tolerance.
+normalization.  Initial guesses come from moment estimates.
+
+The bounded fits share one numpy Levenberg-Marquardt core (Marquardt
+1963; More 1978):
+
+- each step solves (J^T J + mu diag J^T J) dx = -J^T f.  With this
+  Marquardt scaling mu is dimensionless, so amplitudes of ~1e8 and
+  widths of ~0.3 are damped alike.  mu starts at 1e-3 and follows
+  Nielsen's gain-ratio update;
+- trial points are clipped to the bounds, and a parameter on a bound
+  that the gradient pushes outward stays there;
+- J is a forward difference with the usual 2-point step
+  sqrt(eps) max(1, |x|), stepped inward at a bound;
+- a fit converges when the gradient of the free parameters is below
+  REL_TOL (gtol), when the actual and the predicted reduction of the sum
+  of squares are both below REL_TOL of it (ftol, as in MINPACK), or when
+  every step component satisfies |dx_i| <= REL_TOL (REL_TOL + |x_i|)
+  (xtol).  It fails after MAX_ITER (n + 1) residual evaluations.
+
+Only the Voigt profile needs a compiled special function, the Faddeeva
+function ``wofz``, imported on first use; erf comes from ``math``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -17,6 +36,8 @@ import numpy as np
 _SQRT2LN2 = np.sqrt(2.0 * np.log(2.0))
 MAX_ITER = 500
 REL_TOL = 1e-10
+_FD_STEP = np.sqrt(np.finfo(float).eps)
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 class FitError(RuntimeError):
@@ -91,29 +112,94 @@ class DecayHistogram:
             raise ValueError("counts must be non-negative")
 
 
+def _jacobian(fun: Callable, x: np.ndarray, f: np.ndarray,
+              lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Forward differences with the 2-point step, turned inward at a bound."""
+    h = _FD_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    h = np.where((x + h > hi) | (x + h < lo), -h, h)
+    J = np.empty((f.size, x.size))
+    for i in range(x.size):
+        xi = x.copy()
+        xi[i] += h[i]
+        J[:, i] = (fun(xi) - f) / (xi[i] - x[i])
+    return J
+
+
+def _levenberg_marquardt(fun: Callable, x0: np.ndarray, lo: np.ndarray,
+                         hi: np.ndarray):
+    """Bounded Levenberg-Marquardt; returns (x, f, J, nfev, converged).
+
+    ``nfev`` counts the residual evaluations outside the Jacobian.
+    """
+    budget = MAX_ITER * (x0.size + 1)
+    x = np.clip(x0, lo, hi)
+    f = fun(x)
+    nfev = 1
+    if not np.all(np.isfinite(f)):
+        raise FitError("residuals are not finite at the initial guess")
+    cost = f @ f
+    J = _jacobian(fun, x, f, lo, hi)
+    mu, nu = 1e-3, 2.0
+    while True:
+        g = J.T @ f
+        # a parameter on a bound that the gradient pushes outward stays there
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        if np.max(np.abs(g[free]), initial=0.0) < REL_TOL:
+            return x, f, J, nfev, True
+        if nfev >= budget:
+            return x, f, J, nfev, False
+        # (A + mu diag A) step = -g, solved in columns scaled to unit diagonal
+        A = J[:, free].T @ J[:, free]
+        d = np.sqrt(np.diag(A))
+        d[d == 0] = 1.0
+        step = np.zeros_like(x)
+        step[free] = np.linalg.solve(A / np.outer(d, d) + mu * np.eye(d.size),
+                                     -g[free] / d) / d
+        x_new = np.clip(x + step, lo, hi)
+        f_new = fun(x_new)
+        nfev += 1
+        cost_new = f_new @ f_new
+        actual = cost - cost_new
+        predicted = cost - np.sum((f + J @ (x_new - x)) ** 2)
+        # MINPACK's tests: both reductions relatively small and the linear
+        # model not badly off, or a step small in every component
+        done = ((abs(actual) <= REL_TOL * cost and predicted <= REL_TOL * cost
+                 and actual <= 2.0 * predicted)
+                or np.all(np.abs(x_new - x) <= REL_TOL * (REL_TOL + np.abs(x))))
+        if not actual > 0:  # a failed step, non-finite residuals included
+            if done:
+                return x, f, J, nfev, True
+            mu, nu = mu * nu, 2.0 * nu
+            continue
+        x, f, cost = x_new, f_new, cost_new
+        J = _jacobian(fun, x, f, lo, hi)
+        if done:
+            return x, f, J, nfev, True
+        rho = actual / predicted
+        mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+
+
 def _solve(residual_fn: Callable, p0: np.ndarray, names: list[str],
            bounds=(-np.inf, np.inf)) -> FitResult:
-    from scipy.optimize import least_squares  # deferred: slow to import
-
-    sol = least_squares(residual_fn, p0, bounds=bounds, method="trf",
-                        max_nfev=MAX_ITER * (len(p0) + 1),
-                        xtol=REL_TOL, ftol=REL_TOL, gtol=REL_TOL)
-    res = sol.fun
+    lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), p0.shape) for b in bounds)
+    # a trial point on a bound can make a model singular; the solver
+    # rejects the non-finite residuals that follow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x, res, J, nfev, converged = _levenberg_marquardt(residual_fn, p0, lo, hi)
     dof = max(res.size - len(p0), 1)
     chi2 = float(res @ res) / dof
     # 1-sigma from the Jacobian, scaled by the residual variance
     try:
-        JTJ = sol.jac.T @ sol.jac
-        cov = np.linalg.pinv(JTJ) * chi2
+        cov = np.linalg.pinv(J.T @ J) * chi2
         sig = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
     except np.linalg.LinAlgError:
         sig = np.full(len(p0), np.nan)
     return FitResult(
-        params=dict(zip(names, (float(v) for v in sol.x))),
+        params=dict(zip(names, (float(v) for v in x))),
         uncertainties=dict(zip(names, (float(s) for s in sig))),
         reduced_chi2=chi2,
-        converged=bool(sol.success),
-        iterations=int(sol.nfev),
+        converged=converged,
+        iterations=nfev,
         residuals=res,
     )
 
@@ -199,6 +285,9 @@ def _fit_peak(data: XYSeries, model, names) -> FitResult:
     if span <= 0 or out.params["amplitude"] < 1e-6 * max(abs(out.params["offset"]), 1.0):
         out.degenerate = True
         out.notes.append("amplitude consistent with zero; peak not identifiable")
+    elif out.params["fwhm"] <= 0:
+        out.degenerate = True
+        out.notes.append("width pinned at zero; peak not identifiable")
     return out
 
 
@@ -217,13 +306,13 @@ def exp_gauss_decay(t, tau, amplitude, baseline, sigma, t0=0.0):
                  (1 + erf((t - t0 - sigma^2/tau)/(sigma sqrt(2)))).
     sigma -> 0 reduces to a step exponential.
     """
-    from scipy.special import erf  # deferred: slow to import
     dt = t - t0
     if sigma <= 0:
         return baseline + amplitude * np.where(dt >= 0, np.exp(-dt / np.maximum(tau, 1e-12)), 0.0)
     arg = sigma ** 2 / (2.0 * tau ** 2) - dt / tau
     arg = np.clip(arg, -700.0, 700.0)
-    gate = 0.5 * (1.0 + erf((dt - sigma ** 2 / tau) / (sigma * np.sqrt(2.0))))
+    z = (dt - sigma ** 2 / tau) / (sigma * np.sqrt(2.0))
+    gate = 0.5 * (1.0 + np.asarray(_erf(z), dtype=float))
     return baseline + amplitude * np.exp(arg) * gate
 
 

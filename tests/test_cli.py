@@ -71,6 +71,18 @@ def test_fit_lifetime_synthetic(tmp_path):
     assert doc["params"]["tau_ns"] == pytest.approx(12.6, rel=0.01)
 
 
+def test_fit_exhausted_budget_exits_4(tmp_path, monkeypatch):
+    from cavityforge import fits
+    csv = tmp_path / "lor.csv"
+    out = tmp_path / "lor.json"
+    assert _run(["synth", "lorentzian", "--seed", "2", "-o", str(csv)]) == 0
+    monkeypatch.setattr(fits, "MAX_ITER", 0)
+    assert _run(["fit", "lorentzian", str(csv), "-o", str(out)]) == 4
+    doc = json.loads(out.read_text())
+    assert doc["converged"] is False
+    assert doc["iterations"] == 1   # the initial evaluation spends the budget
+
+
 # --------------------------------------------------------------- dispersion
 
 
@@ -240,3 +252,25 @@ def test_cli_import_defers_scipy_special():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("kind, synth, absent", [
+    ("lorentzian", "lorentzian", "scipy"),
+    ("gaussian", "lateral", "scipy"),
+    ("lifetime", "lifetime", "scipy"),
+    ("voigt", "resonance", "scipy.optimize"),
+])
+def test_fit_loads_no_scipy_solver(kind, synth, absent, tmp_path):
+    # only the Voigt profile needs scipy, and then only scipy.special
+    csv = tmp_path / "data.csv"
+    assert _run(["synth", synth, "--seed", "4", "-o", str(csv)]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                      env.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from cavityforge.cli import main\n"
+            f"assert main(['fit', {kind!r}, {str(csv)!r}, '-o', {str(tmp_path / 'fit.json')!r}]) == 0\n"
+            f"print(sorted(m for m in sys.modules if m == {absent!r} or m.startswith({absent + '.'!r})))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -34,6 +34,8 @@ def test_optimize_kappa_rule():
     out = optimize_kappa(1.41e10, 2.0e6, 77.4e6)
     assert out["kappa_rule"] == pytest.approx(2.82e10)
     assert out["objective_at_numeric"] <= 1.0
+    # eta_zpl does not increase with kappa: its maximum is the lower bound
+    assert out["kappa_numeric"] == 1.41e10 / 50.0
     with pytest.raises(ValueError):
         optimize_kappa(-1.0, 2.0e6, 77.4e6)
 
