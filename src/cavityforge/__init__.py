@@ -23,8 +23,8 @@ from .fits import (DecayHistogram, FitError, FitResult, XYSeries,
                    exp_gauss_decay, fit_gaussian, fit_lifetime, fit_lorentzian,
                    fit_voigt, g2_pulse_areas, gaussian, lorentzian,
                    voigt_profile)
-from .design import (DesignPoint, SweepResult, design_mirrors, evaluate_design,
-                     optimize_kappa, pareto_indices, sweep)
+from .design import (DesignPoint, SweepResult, cavity_mode, design_mirrors,
+                     evaluate_design, optimize_kappa, pareto_indices, sweep)
 from .config import ConfigError, RunConfig, load_config, paper_baseline_dict, parse_config
 
 __version__ = "0.1.0"

@@ -23,9 +23,9 @@ from .config import ConfigError, RunConfig, load_config, paper_baseline_dict, pa
 from .cqed import RatesMeasurement, coupling_report
 from .fits import DecayHistogram, FitError, XYSeries, fit_gaussian, fit_lifetime, \
     fit_lorentzian, fit_voigt, g2_pulse_areas
-from .gaussian import beam_waist, effective_area, transverse_offsets, vacuum_field
+from .gaussian import transverse_offsets
 from .stack import GeometryError, emitter_rates
-from .tmm import ResonanceError, dispersion_map, field_profile
+from .tmm import ResonanceError, dispersion_map
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -79,6 +79,8 @@ def _load_run_config(args) -> RunConfig:
 def cmd_dispersion(args) -> int:
     if not (args.l_step_nm > 0 and args.scan_step_nm > 0):
         raise ConfigError("--l-step-nm and --scan-step-nm must be positive")
+    if args.max_transverse_order < 0:
+        raise ConfigError("--max-transverse-order must not be negative")
     if not args.lambda_min_nm < args.lambda_max_nm:
         raise ConfigError("--lambda-min-nm must be below --lambda-max-nm")
     cfg = _load_run_config(args)
@@ -101,12 +103,12 @@ def cmd_dispersion(args) -> int:
             # higher lateral modes: resonance reached after extra mirror
             # travel set by the Gouy phase, so at fixed L the line sits at
             # lambda_0 - slope * delta_L_k
-            for k in range(1, args.max_transverse_order + 1):
-                for s in br.samples:
-                    dL = transverse_offsets(cfg.cavity.curvature_radius_um,
-                                            (s.L + cfg.cavity.t_d) * 1e-3,
-                                            s.lambda_res, k)[k]
-                    rows.append((s.L, bid, s.lambda_res - s.slope * dL,
+            for s in br.samples:
+                dLs = transverse_offsets(cfg.cavity.curvature_radius_um,
+                                         (s.L + cfg.cavity.t_d) * 1e-3,
+                                         s.lambda_res, args.max_transverse_order)
+                for k in range(1, args.max_transverse_order + 1):
+                    rows.append((s.L, bid, s.lambda_res - s.slope * dLs[k],
                                  s.slope, br.character, k))
     rows.sort(key=lambda r: (r[0], r[1], r[5]))
 
@@ -125,16 +127,11 @@ def cmd_dispersion(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = _load_run_config(args)
-    e = cfg.emitter
+    e, cav = cfg.emitter, cfg.cavity
     lam = e.zpl_wavelength
-    asm = design_mod._tune_air_gap(
-        cfg.cavity.bottom_mirror, cfg.cavity.top_mirror, cfg.cavity.t_d,
-        cfg.cavity.L, cfg.cavity.curvature_radius_um, lam,
-        waist_fwhm_um=cfg.cavity.transverse_waist_fwhm_um)
-    prof = field_profile(asm, lam)
-    mode = beam_waist(asm.curvature_radius_um, asm.geometric_length_um(), lam,
-                      asm.transverse_waist_fwhm_um)
-    vol = vacuum_field(prof, effective_area(mode))
+    asm, _, mode, vol = design_mod.cavity_mode(
+        cav.bottom_mirror, cav.top_mirror, cav.t_d, cav.L, cav.curvature_radius_um,
+        lam, cav.transverse_waist_fwhm_um)
 
     m = cfg.measured
     rates = None

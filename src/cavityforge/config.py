@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .constants import apply_overrides
 from .stack import CavityAssembly, EmitterSpec, GeometryError, MirrorSpec, assemble_cavity
 
 
@@ -24,11 +23,10 @@ _CAVITY_KEYS = {"bottom_mirror", "top_mirror", "t_d_nm", "L_nm", "n_d",
                 "R_um", "waist_fwhm_um"}
 _EMITTER_KEYS = {"zpl_wavelength_nm", "bulk_lifetime_ns", "host_index",
                  "debye_waller", "depth_nm", "dipole_orientation_factor"}
-_CONSTANTS_KEYS = {"c", "hbar", "eps0", "e_charge"}
 _MEASURED_KEYS = {"Gamma_L_pm", "dlambda_dL", "gamma_on_per_s",
                   "gamma_off_per_s", "dw_assumed"}
 _SWEEP_KEYS = {"t_d_nm", "L_nm", "terminations", "R_um"}
-_TOP_KEYS = {"cavity", "emitter", "constants", "measured", "sweep"}
+_TOP_KEYS = {"cavity", "emitter", "measured", "sweep"}
 
 
 def _check_keys(d: dict, allowed: set, where: str):
@@ -101,10 +99,6 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("config: missing required 'cavity' block")
     if "emitter" not in doc:
         raise ConfigError("config: missing required 'emitter' block")
-
-    if "constants" in doc:
-        _check_keys(doc["constants"], _CONSTANTS_KEYS, "constants")
-        apply_overrides(doc["constants"])
 
     cav = doc["cavity"]
     _check_keys(cav, _CAVITY_KEYS, "cavity")

@@ -1,4 +1,8 @@
-"""Physical constants (CODATA 2018) as an immutable value object."""
+"""Physical constants (CODATA 2018) as an immutable value object.
+
+The values are fixed: no configuration overrides them, so every
+computation in a process uses the same constants.
+"""
 
 from dataclasses import dataclass
 
@@ -12,20 +16,3 @@ class PhysicalConstants:
 
 
 CONSTANTS = PhysicalConstants()
-
-_FIELDS = ("c", "hbar", "eps0", "e_charge")
-
-
-def apply_overrides(overrides: dict) -> None:
-    """Replace constant values at startup (before any physics runs).
-
-    The shared instance is mutated in place so every module sees the
-    override; values are fixed for the remainder of the process.
-    """
-    for key, value in overrides.items():
-        if key not in _FIELDS:
-            raise ValueError(f"unknown constant {key!r}")
-        value = float(value)
-        if value <= 0:
-            raise ValueError(f"constant {key!r} must be positive")
-        object.__setattr__(CONSTANTS, key, value)

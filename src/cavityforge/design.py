@@ -7,8 +7,7 @@ probability and required Q-factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,12 +17,8 @@ from .gaussian import beam_waist, effective_area, vacuum_field
 from .stack import EmitterSpec, GeometryError, MirrorSpec, assemble_cavity, emitter_rates
 from .tmm import ResonanceError, _round_trip, field_profile
 
-# eta reported side-by-side for the commonly assumed ZPL branching fractions;
-# the headline eta uses 2.0 %, the headline transform limit the
-# self-consistent 2.55 %
-DW_PRESETS = {"2.0%": 0.020, "2.4%": 0.024, "2.55%": 0.0255, "5%": 0.050}
-ETA_HEADLINE_PRESET = "2.0%"
-TRANSFORM_HEADLINE_PRESET = "2.55%"
+# ZPL branching fraction at which eta_zpl is scored: the paper's 2.0 %
+ETA_DEBYE_WALLER = 0.020
 
 # improved-mirror geometry for proposed cavities (shallow ablated dimple)
 DESIGN_RADIUS_UM = 5.5
@@ -43,10 +38,6 @@ class DesignPoint:
     t_d_nm: float
     L_nm: float
     termination: str                     # "node" | "antinode" at diamond-air interface
-    waist_source: str = "formula"        # "formula" | "override"
-    waist_fwhm_um: Optional[float] = None
-    kappa_s: Optional[float] = None      # fixed kappa; None applies kappa = 2 g
-    Q_target: Optional[float] = None
     # derived
     valid: bool = False
     reason: str = ""
@@ -59,9 +50,7 @@ class DesignPoint:
     F_P_zpl: float = np.nan
     Q_required: float = np.nan
     eta_zpl: float = np.nan
-    eta_zpl_by_dw: dict = field(default_factory=dict)
     transform_limit_hz: float = np.nan
-    transform_limit_by_dw: dict = field(default_factory=dict)
     termination_consistent: bool = False
     interface_field_ratio: float = np.nan
 
@@ -123,29 +112,41 @@ def optimize_kappa(g: float, gamma_zpl: float, gamma_psb: float,
     }
 
 
+def cavity_mode(bottom: MirrorSpec, top: MirrorSpec, t_d: float, L_nominal: float,
+                R_um: float, lam: float, waist_fwhm_um=None):
+    """The resonant mode at lam: the air gap tuned nearest L_nominal, its
+    standing wave, the Gaussian transverse mode and the vacuum field.
+
+    Returns (assembly, profile, transverse mode, ModeVolumeReport).  A
+    measured intensity FWHM, when given, sets the waist.  Raises
+    ResonanceError or GeometryError, the latter also for a cavity with no
+    diamond, whose diamond maximum is undefined.
+    """
+    asm = _tune_air_gap(bottom, top, t_d, L_nominal, R_um, lam,
+                        waist_fwhm_um=waist_fwhm_um)
+    prof = field_profile(asm, lam)
+    mode = beam_waist(R_um, asm.geometric_length_um(), lam, waist_fwhm_um)
+    return asm, prof, mode, vacuum_field(prof, effective_area(mode))
+
+
 def evaluate_design(p: DesignPoint, e: EmitterSpec,
-                    bottom: Optional[MirrorSpec] = None,
-                    top: Optional[MirrorSpec] = None,
                     R_um: float = DESIGN_RADIUS_UM) -> DesignPoint:
-    """Complete a design point: field, vacuum field, g, kappa, Purcell, eta."""
+    """Complete a design point: field, vacuum field, g, kappa, Purcell, eta.
+
+    The cavity uses design_mirrors at the emitter's ZPL and the waist of
+    the mirror geometry.  kappa follows the 2 g rule of optimize_kappa;
+    eta_zpl is scored at ETA_DEBYE_WALLER and the transform limit at the
+    emitter's own debye_waller.  A geometry without a resonant mode (no
+    resonance, unstable, no diamond) returns invalid with the reason.
+    """
     p = replace(p)
-    if bottom is None or top is None:
-        b, t = design_mirrors(e.zpl_wavelength)
-        bottom = bottom or b
-        top = top or t
     lam = e.zpl_wavelength
     try:
-        asm = _tune_air_gap(bottom, top, p.t_d_nm, p.L_nm, R_um, lam,
-                            waist_fwhm_um=p.waist_fwhm_um)
+        asm, prof, _, rep = cavity_mode(*design_mirrors(lam), p.t_d_nm, p.L_nm,
+                                        R_um, lam)
     except (ResonanceError, GeometryError) as exc:
         p.valid = False
         p.reason = f"{type(exc).__name__}: {exc}"
-        return p
-    try:
-        prof = field_profile(asm, lam)
-    except ResonanceError as exc:
-        p.valid = False
-        p.reason = f"ResonanceError: {exc}"
         return p
 
     p.L_tuned_nm = asm.L
@@ -155,25 +156,12 @@ def evaluate_design(p: DesignPoint, e: EmitterSpec,
     amp_iface = float(np.interp(iface, prof.z, prof.amplitude))
     p.interface_field_ratio = amp_iface / float(prof.amplitude.max())
     # termination check: nearest node (antinode) within lambda/40 of the interface
-    tol = lam / 40.0
-    if p.termination == "node":
-        p.termination_consistent = bool(prof.nodes.size
-                                        and np.min(np.abs(prof.nodes - iface)) < tol)
-    elif p.termination == "antinode":
-        p.termination_consistent = bool(prof.antinodes.size
-                                        and np.min(np.abs(prof.antinodes - iface)) < tol)
-    else:
+    marks = {"node": prof.nodes, "antinode": prof.antinodes}.get(p.termination)
+    if marks is None:
         raise ValueError(f"unknown termination {p.termination!r}")
+    p.termination_consistent = bool(marks.size
+                                    and np.min(np.abs(marks - iface)) < lam / 40.0)
 
-    if p.waist_source == "override":
-        if p.waist_fwhm_um is None:
-            p.valid = False
-            p.reason = "waist override requested but no FWHM given"
-            return p
-        mode = beam_waist(R_um, asm.geometric_length_um(), lam, p.waist_fwhm_um)
-    else:
-        mode = beam_waist(R_um, asm.geometric_length_um(), lam)
-    rep = vacuum_field(prof, effective_area(mode))
     p.E_vac_diamond = rep.E_vac_max_diamond
     p.E_vac_global = rep.E_vac_global_max
 
@@ -183,24 +171,15 @@ def evaluate_design(p: DesignPoint, e: EmitterSpec,
     p.g_rad_s = g
 
     w = 2.0 * np.pi * CONSTANTS.c / (lam * 1e-9)
-    if p.kappa_s is not None:
-        kappa = p.kappa_s
-    elif p.Q_target is not None:
-        kappa = w / p.Q_target
-    else:
-        kappa = 2.0 * g      # the rule optimize_kappa adopts
+    kappa = 2.0 * g      # the rule optimize_kappa adopts
     p.kappa_applied_s = kappa
     p.Q_required = w / kappa
     F = purcell_zpl_theory(g, kappa, rates["gamma_bulk"])
     p.F_P_zpl = F
 
-    for name, dw in DW_PRESETS.items():
-        g0 = dw * rates["gamma_bulk"]
-        g1 = rates["gamma_bulk"] - g0
-        p.eta_zpl_by_dw[name] = F * g0 / (g1 + F * g0)
-        p.transform_limit_by_dw[name] = transform_limit(F, g0, g1)
-    p.eta_zpl = p.eta_zpl_by_dw[ETA_HEADLINE_PRESET]
-    p.transform_limit_hz = p.transform_limit_by_dw[TRANSFORM_HEADLINE_PRESET]
+    g0 = ETA_DEBYE_WALLER * rates["gamma_bulk"]
+    p.eta_zpl = F * g0 / (rates["gamma_bulk"] - g0 + F * g0)
+    p.transform_limit_hz = transform_limit(F, rates["gamma_zpl"], rates["gamma_psb"])
     p.valid = True
     p.reason = "ok"
     return p
@@ -208,28 +187,20 @@ def evaluate_design(p: DesignPoint, e: EmitterSpec,
 
 def pareto_indices(points: list) -> list:
     """Non-dominated valid points: eta_zpl maximized, Q_required minimized."""
-    idx = [i for i, p in enumerate(points) if p.valid]
-    out = []
-    for i in idx:
-        dominated = False
-        for j in idx:
-            if j == i:
-                continue
-            pi, pj = points[i], points[j]
-            if (pj.eta_zpl >= pi.eta_zpl and pj.Q_required <= pi.Q_required
-                    and (pj.eta_zpl > pi.eta_zpl or pj.Q_required < pi.Q_required)):
-                dominated = True
-                break
-        if not dominated:
-            out.append(i)
-    return out
+    valid = [p for p in points if p.valid]
+
+    def dominated(pi):
+        return any(pj.eta_zpl >= pi.eta_zpl and pj.Q_required <= pi.Q_required
+                   and (pj.eta_zpl > pi.eta_zpl or pj.Q_required < pi.Q_required)
+                   for pj in valid)
+    return [i for i, p in enumerate(points) if p.valid and not dominated(p)]
 
 
 def sweep(t_d_values, L_values, terminations, emitter: EmitterSpec,
-          bottom: Optional[MirrorSpec] = None, top: Optional[MirrorSpec] = None,
           R_um: float = DESIGN_RADIUS_UM) -> SweepResult:
-    """Evaluate the full grid in deterministic order; invalid geometries
-    are kept with a reason code."""
+    """Evaluate the full grid with evaluate_design in deterministic order
+    (t_d, then L, then termination); invalid geometries are kept with
+    their reason.  Raises ResonanceError when no point is valid."""
     t_d_values = list(t_d_values)
     L_values = list(L_values)
     terminations = list(terminations)
@@ -240,7 +211,7 @@ def sweep(t_d_values, L_values, terminations, emitter: EmitterSpec,
         for L in L_values:
             for term in terminations:
                 p = DesignPoint(t_d_nm=t_d, L_nm=L, termination=term)
-                points.append(evaluate_design(p, emitter, bottom, top, R_um))
+                points.append(evaluate_design(p, emitter, R_um))
     if not any(p.valid for p in points):
         raise ResonanceError("no valid design point in the sweep grid")
     return SweepResult(

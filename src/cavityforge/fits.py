@@ -188,9 +188,14 @@ def _solve(residual_fn: Callable, p0: np.ndarray, names: list[str],
         x, res, J, nfev, converged = _levenberg_marquardt(residual_fn, p0, lo, hi)
     dof = max(res.size - len(p0), 1)
     chi2 = float(res @ res) / dof
-    # 1-sigma from the Jacobian, scaled by the residual variance
+    # 1-sigma from the Jacobian, scaled by the residual variance; columns
+    # go to unit norm first, as amplitudes of ~1e8 beside widths of ~0.3
+    # would put the amplitude direction below pinv's cutoff
+    d = np.linalg.norm(J, axis=0)
+    d[d == 0] = 1.0
+    Js = J / d
     try:
-        cov = np.linalg.pinv(J.T @ J) * chi2
+        cov = np.linalg.pinv(Js.T @ Js) / np.outer(d, d) * chi2
         sig = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
     except np.linalg.LinAlgError:
         sig = np.full(len(p0), np.nan)

@@ -21,8 +21,6 @@ _FWHM_PER_W0 = np.sqrt(2.0 * np.log(2.0))  # intensity FWHM = w0 * sqrt(2 ln 2)
 @dataclass(frozen=True)
 class TransverseMode:
     waist_um: float              # 1/e^2 amplitude radius w0
-    order: tuple[int, int] = (0, 0)
-    gouy_offset_nm: float = 0.0  # extra mirror travel to restore resonance
 
     @property
     def intensity_fwhm_um(self) -> float:
@@ -32,13 +30,11 @@ class TransverseMode:
 @dataclass(frozen=True)
 class ModeVolumeReport:
     A_eff_um2: float
-    longitudinal_integral_nm: float   # int eps_r |f|^2 dz / (eps_r* |f*|^2)
     V_eff_um3: float
     E_vac_max_diamond: float          # V/m at the diamond-internal field maximum
     E_vac_global_max: float           # V/m at the global eps-weighted optimum
     z_max_diamond_nm: float
     z_max_global_nm: float
-    wavelength_nm: float
 
 
 def waist_from_fwhm(fwhm_um: float) -> float:
@@ -119,11 +115,9 @@ def vacuum_field(profile: FieldProfile, A_eff_um2: float) -> ModeVolumeReport:
     V_eff_um3 = A_eff_um2 * (integral * 1e-3) / (eps[i_d] * amp[i_d] ** 2)
     return ModeVolumeReport(
         A_eff_um2=float(A_eff_um2),
-        longitudinal_integral_nm=float(integral / (eps[i_d] * amp[i_d] ** 2)),
         V_eff_um3=float(V_eff_um3),
         E_vac_max_diamond=e_d,
         E_vac_global_max=e_g,
         z_max_diamond_nm=float(z[i_d]),
         z_max_global_nm=float(z[i_g]),
-        wavelength_nm=float(lam),
     )

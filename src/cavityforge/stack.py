@@ -125,8 +125,9 @@ def assemble_cavity(bottom: MirrorSpec, t_d: float, L: float, top: MirrorSpec,
                     R_um: float,
                     n_d: float = 2.41,
                     waist_fwhm_um: Optional[float] = None) -> CavityAssembly:
-    """Assemble the full cavity. t_d = 0 yields a bare (air-only) cavity."""
-    diamond = Layer("diamond", complex(n_d), t_d) if t_d > 0 else Layer("diamond", complex(n_d), 0.0)
+    """Assemble the full cavity. t_d = 0 yields a bare (air-only) cavity;
+    a negative t_d raises GeometryError."""
+    diamond = Layer("diamond", complex(n_d), t_d)
     air = Layer("air", 1.0 + 0.0j, L)
     return CavityAssembly(bottom, diamond, air, top, R_um, waist_fwhm_um)
 

@@ -360,6 +360,10 @@ def field_profile(assembly: CavityAssembly, lam_res: float,
 
 
 def _extrema(z: np.ndarray, amp: np.ndarray):
+    # an interface carries one sample from each side, with equal |E|;
+    # keep one, or a rise (fall) through it reads as a node (antinode)
+    keep = np.concatenate([[True], np.diff(z) > 0])
+    z, amp = z[keep], amp[keep]
     antinodes, nodes = [], []
     for i in range(1, z.size - 1):
         if amp[i] >= amp[i - 1] and amp[i] > amp[i + 1]:

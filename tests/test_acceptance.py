@@ -208,7 +208,7 @@ def test_criterion_7_design_predictions(design_points):
         checks.append((f"{name} E_vac", ok, det))
         ok, det = _within(p.F_P_zpl, f_want, rel=0.10)
         checks.append((f"{name} F_P_zpl", ok, det))
-        ok, det = _within(p.eta_zpl_by_dw["2.0%"], eta_want, abs_=0.03)
+        ok, det = _within(p.eta_zpl, eta_want, abs_=0.03)
         checks.append((f"{name} eta_zpl", ok, det))
         checks.append((f"{name} termination consistent",
                        p.termination_consistent,

@@ -116,6 +116,7 @@ def test_dispersion_needs_a_config():
     (["--l-step-nm", "0"], "must be positive"),
     (["--scan-step-nm", "0"], "must be positive"),
     (["--lambda-min-nm", "700", "--lambda-max-nm", "600"], "must be below"),
+    (["--max-transverse-order", "-3"], "must not be negative"),
 ])
 def test_dispersion_bad_steps_and_window_exit_2(flags, message, capsys):
     assert _run(["dispersion", "--paper-baseline", *flags]) == 2
@@ -205,6 +206,12 @@ def test_design_single_unstable_exits_3(tmp_path):
                  "-o", str(tmp_path / "d.csv")]) == 3
 
 
+def test_design_single_without_membrane_exits_3(tmp_path, capsys):
+    assert _run(["design", "--single", "t_d_nm=0", "L_nm=637",
+                 "-o", str(tmp_path / "d.csv")]) == 3
+    assert "no diamond layer" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- synth
 
 
@@ -274,3 +281,25 @@ def test_fit_loads_no_scipy_solver(kind, synth, absent, tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+# ------------------------------------------------------------------- scripts
+
+
+@pytest.mark.parametrize("script, wrote", [
+    ("design_sweep.py", "wrote designs.csv and designs_pareto.json"),
+    ("dispersion_map.py", "wrote dispersion.csv ("),
+    ("make_synthetic_data.py", "wrote "),
+])
+def test_script_runs(script, wrote, tmp_path):
+    # a copy under tmp_path/scripts writes its data/ under tmp_path too
+    (tmp_path / "scripts").mkdir()
+    copy = tmp_path / "scripts" / script
+    copy.write_bytes((REPO / "scripts" / script).read_bytes())
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                      env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, str(copy)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1].startswith(wrote)

@@ -3,6 +3,7 @@ import copy
 import pytest
 
 from cavityforge.config import (ConfigError, paper_baseline_dict, parse_config)
+from cavityforge.constants import CONSTANTS
 
 
 def test_paper_baseline_parses():
@@ -65,9 +66,19 @@ def test_emitter_depth_must_be_inside_membrane():
 
 
 def test_constants_override_validation():
+    # a config cannot override the constants: the block is an unknown key
+    c = CONSTANTS.c
     doc = paper_baseline_dict()
-    doc["constants"] = {"speed": 3e8}
-    with pytest.raises(ConfigError):
+    doc["constants"] = {"c": 3e8}
+    with pytest.raises(ConfigError, match="unknown keys"):
+        parse_config(doc)
+    assert CONSTANTS.c == c
+
+
+def test_negative_membrane_rejected():
+    doc = paper_baseline_dict()
+    doc["cavity"]["t_d_nm"] = -5.0
+    with pytest.raises(ConfigError, match="thickness"):
         parse_config(doc)
 
 

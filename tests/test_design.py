@@ -87,6 +87,34 @@ def test_sweep_empty_grid_rejected():
         sweep([], [478.0], ["node"], EMITTER)
 
 
+def test_termination_verdicts_read_true_extrema():
+    # |E| is continuous through the interface; only the true antinode,
+    # a few nm above it, may count
+    node, anti = (evaluate_design(DesignPoint(t_d_nm=264.0, L_nm=637.0,
+                                              termination=term), EMITTER)
+                  for term in ("node", "antinode"))
+    assert node.valid and anti.valid
+    assert not node.termination_consistent
+    assert anti.termination_consistent
+
+
+def test_sweep_keeps_membraneless_point_with_reason():
+    res = sweep([0.0, 132.0], [637.0], ["antinode"], EMITTER)
+    bare, membrane = res.points
+    assert not bare.valid
+    assert bare.reason.startswith("GeometryError")
+    assert membrane.valid
+    assert res.pareto == [1]
+
+
+def test_transform_limit_follows_emitter_debye_waller():
+    p = DesignPoint(t_d_nm=132.0, L_nm=637.0, termination="antinode")
+    base = evaluate_design(p, EMITTER)
+    other = evaluate_design(p, EmitterSpec(debye_waller=0.03))
+    assert other.eta_zpl == base.eta_zpl   # scored at the fixed 2.0 %
+    assert other.transform_limit_hz != base.transform_limit_hz
+
+
 def test_sweep_all_invalid_raises():
     with pytest.raises(ResonanceError):
         sweep([198.0], [6000.0], ["node"], EMITTER)

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from cavityforge.fits import (DecayHistogram, FitError, XYSeries, exp_gauss_deca
                               fit_gaussian, fit_lifetime, fit_lorentzian,
                               fit_voigt, g2_pulse_areas, gaussian, lorentzian,
                               voigt_profile)
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 # ------------------------------------------------------------- data objects
 
@@ -194,6 +198,26 @@ _PARITY_FITS = {
     "voigt": lambda seed: fit_voigt(
         synthetic.voigt_resonance(noise_frac=0.02, seed=seed)),
 }
+
+
+def test_uncertainties_survive_bad_column_scaling():
+    # amplitude ~7e7 beside a width ~0.8: the sigmas must match the exact
+    # inverse of the column-scaled normal matrix at the fitted point
+    x, y = np.loadtxt(DATA / "zpl6_lateral.csv", delimiter=",", skiprows=1,
+                      unpack=True)
+    out = fit_gaussian(XYSeries(x, y))
+    p = np.array([out.params[k] for k in ("center", "fwhm", "amplitude", "offset")])
+
+    def resid(q):
+        return gaussian(x, *q) - y
+
+    f = resid(p)
+    J = fits._jacobian(resid, p, f, np.full(4, -np.inf), np.full(4, np.inf))
+    d = np.linalg.norm(J, axis=0)
+    r_inv = np.linalg.inv(np.linalg.qr(J / d, mode="r"))
+    want = np.sqrt(np.sum(r_inv ** 2, axis=1) * out.reduced_chi2) / d
+    got = np.array([out.uncertainties[k] for k in ("center", "fwhm", "amplitude", "offset")])
+    np.testing.assert_allclose(got, want, rtol=1e-6)
 
 
 @pytest.mark.parametrize("kind", sorted(_PARITY_FITS))
