@@ -15,7 +15,7 @@ from .tmm import (BranchSample, FieldProfile, ModeBranch, ResonanceError,
 from .gaussian import (ModeVolumeReport, TransverseMode, beam_waist,
                        effective_area, transverse_offsets, vacuum_field,
                        waist_from_fwhm)
-from .cqed import (CouplingReport, RatesMeasurement, coupling_rate,
+from .cqed import (CouplingReport, DomainError, RatesMeasurement, coupling_rate,
                    coupling_report, debye_waller_inversion, dipole_from_lifetime,
                    linewidth_conversions, purcell_zpl_theory, rates_algebra,
                    transform_limit)

@@ -20,7 +20,7 @@ import numpy as np
 from . import design as design_mod
 from . import synthetic
 from .config import ConfigError, RunConfig, load_config, paper_baseline_dict, parse_config
-from .cqed import RatesMeasurement, coupling_report
+from .cqed import DomainError, RatesMeasurement, coupling_report
 from .fits import DecayHistogram, FitError, XYSeries, fit_gaussian, fit_lifetime, \
     fit_lorentzian, fit_voigt, g2_pulse_areas
 from .gaussian import transverse_offsets
@@ -131,7 +131,7 @@ def cmd_report(args) -> int:
     lam = e.zpl_wavelength
     asm, _, mode, vol = design_mod.cavity_mode(
         cav.bottom_mirror, cav.top_mirror, cav.t_d, cav.L, cav.curvature_radius_um,
-        lam, cav.transverse_waist_fwhm_um)
+        lam, cav.transverse_waist_fwhm_um, n_d=cav.diamond.n)
 
     m = cfg.measured
     rates = None
@@ -449,7 +449,7 @@ def main(argv=None) -> int:
     except (ConfigError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ResonanceError, GeometryError) as exc:
+    except (ResonanceError, GeometryError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
     except ValueError as exc:

@@ -17,6 +17,10 @@ import numpy as np
 from .constants import CONSTANTS
 
 
+class DomainError(ValueError):
+    """A rate or figure of merit outside its physical domain."""
+
+
 @dataclass(frozen=True)
 class RatesMeasurement:
     gamma_on: float      # total decay rate on resonance, s^-1
@@ -26,7 +30,7 @@ class RatesMeasurement:
 
     def __post_init__(self):
         if not (self.gamma_on > self.gamma_off > 0):
-            raise ValueError("need gamma_on > gamma_off > 0")
+            raise DomainError("need gamma_on > gamma_off > 0")
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,7 @@ def dipole_from_lifetime(gamma_bulk: float, lam_nm: float, n_host: float) -> flo
     internal quantum efficiency.
     """
     if gamma_bulk <= 0 or lam_nm <= 0 or n_host <= 0:
-        raise ValueError("inputs must be positive")
+        raise DomainError("inputs must be positive")
     w = 2.0 * np.pi * CONSTANTS.c / (lam_nm * 1e-9)
     d2 = 3.0 * np.pi * CONSTANTS.eps0 * CONSTANTS.hbar * CONSTANTS.c ** 3 \
         * gamma_bulk / (n_host * w ** 3)
@@ -75,7 +79,7 @@ def dipole_from_lifetime(gamma_bulk: float, lam_nm: float, n_host: float) -> flo
 def coupling_rate(dipole_Cm: float, E_vac: float, xi: float = 1.0) -> float:
     """Emitter-vacuum-field coupling g = xi d E_vac / hbar, in rad/s."""
     if dipole_Cm < 0 or E_vac < 0 or not (0 < xi <= 1):
-        raise ValueError("bad inputs")
+        raise DomainError("bad inputs")
     return xi * dipole_Cm * E_vac / CONSTANTS.hbar
 
 
@@ -87,7 +91,7 @@ def linewidth_conversions(Gamma_L_pm: float, dlambda_dL: float, lam_nm: float) -
     kappa = 2 pi Gamma_f = w/Q.
     """
     if Gamma_L_pm <= 0 or dlambda_dL <= 0 or lam_nm <= 0:
-        raise ValueError("inputs must be positive")
+        raise DomainError("inputs must be positive")
     Gamma_lambda_pm = Gamma_L_pm * dlambda_dL
     Q = lam_nm * 1e3 / Gamma_lambda_pm
     finesse = lam_nm * 1e3 / (2.0 * Gamma_L_pm)
@@ -105,7 +109,7 @@ def linewidth_conversions(Gamma_L_pm: float, dlambda_dL: float, lam_nm: float) -
 def purcell_zpl_theory(g: float, kappa: float, gamma_bulk: float) -> float:
     """Resonant ZPL Purcell factor 4 g^2 / (kappa gamma_bulk)."""
     if g <= 0 or kappa <= 0 or gamma_bulk <= 0:
-        raise ValueError("inputs must be positive")
+        raise DomainError("inputs must be positive")
     if g >= kappa:
         warnings.warn(f"g={g:.3g} >= kappa={kappa:.3g}: outside the weak-coupling regime")
     return 4.0 * g ** 2 / (kappa * gamma_bulk)
@@ -119,7 +123,7 @@ def rates_algebra(m: RatesMeasurement) -> dict:
     eta_zpl = F_P_zpl gamma_zpl / gamma_on.
     """
     if not (0.0 < m.dw_assumed < 1.0):
-        raise ValueError(f"DW must be in (0, 1), got {m.dw_assumed}")
+        raise DomainError(f"DW must be in (0, 1), got {m.dw_assumed}")
     gamma_zpl = m.dw_assumed * m.gamma_bulk
     F_zpl = (m.gamma_on - m.gamma_off + gamma_zpl) / gamma_zpl
     return {
@@ -137,7 +141,7 @@ def debye_waller_inversion(gamma_on: float, gamma_off: float, gamma_bulk: float,
     gamma_zpl = (gamma_on - gamma_off)/(F_theory - 1); DW = gamma_zpl/gamma_bulk.
     """
     if F_theory <= 1:
-        raise ValueError("F_theory must exceed 1")
+        raise DomainError("F_theory must exceed 1")
     degenerate = gamma_on <= gamma_off
     gamma_zpl = 0.0 if degenerate else (gamma_on - gamma_off) / (F_theory - 1.0)
     return {
@@ -150,7 +154,7 @@ def debye_waller_inversion(gamma_on: float, gamma_off: float, gamma_bulk: float,
 def transform_limit(F_zpl: float, gamma_zpl: float, gamma_psb: float) -> float:
     """Transform-limited emission linewidth (gamma_psb + F gamma_zpl)/(2 pi), Hz."""
     if F_zpl <= 0 or gamma_zpl <= 0 or gamma_psb < 0:
-        raise ValueError("inputs must be positive")
+        raise DomainError("inputs must be positive")
     return (gamma_psb + F_zpl * gamma_zpl) / (2.0 * np.pi)
 
 

@@ -63,8 +63,9 @@ class SweepResult:
 
 
 def _tune_air_gap(bottom, top, t_d, L_nominal, R_um, lam_target,
-                  search_halfwidth=170.0, waist_fwhm_um=None):
-    """Air gap nearest L_nominal whose resonance sits at lam_target.
+                  search_halfwidth=170.0, waist_fwhm_um=None, n_d=2.41):
+    """Air gap nearest L_nominal whose resonance sits at lam_target, for a
+    membrane of index n_d.
 
     Closes the round-trip phase of the gap, 4 pi L / lam + arg r_b + arg r_t
     = 2 pi m, with r_b (diamond plus bottom DBR) and r_t (top DBR) the
@@ -72,7 +73,7 @@ def _tune_air_gap(bottom, top, t_d, L_nominal, R_um, lam_target,
     spaced by lam / 2.
     """
     base = assemble_cavity(bottom, t_d, max(L_nominal, 1.0), top, R_um,
-                           waist_fwhm_um=waist_fwhm_um)
+                           n_d=n_d, waist_fwhm_um=waist_fwhm_um)
     lam = lam_target
     offset = -np.angle(_round_trip(base, np.array([lam]))[0]) * lam / (4.0 * np.pi)
     period = lam / 2.0
@@ -113,9 +114,10 @@ def optimize_kappa(g: float, gamma_zpl: float, gamma_psb: float,
 
 
 def cavity_mode(bottom: MirrorSpec, top: MirrorSpec, t_d: float, L_nominal: float,
-                R_um: float, lam: float, waist_fwhm_um=None):
-    """The resonant mode at lam: the air gap tuned nearest L_nominal, its
-    standing wave, the Gaussian transverse mode and the vacuum field.
+                R_um: float, lam: float, waist_fwhm_um=None, n_d=2.41):
+    """The resonant mode at lam: the air gap tuned nearest L_nominal for a
+    membrane of index n_d, its standing wave, the Gaussian transverse mode
+    and the vacuum field.
 
     Returns (assembly, profile, transverse mode, ModeVolumeReport).  A
     measured intensity FWHM, when given, sets the waist.  Raises
@@ -123,7 +125,7 @@ def cavity_mode(bottom: MirrorSpec, top: MirrorSpec, t_d: float, L_nominal: floa
     diamond, whose diamond maximum is undefined.
     """
     asm = _tune_air_gap(bottom, top, t_d, L_nominal, R_um, lam,
-                        waist_fwhm_um=waist_fwhm_um)
+                        waist_fwhm_um=waist_fwhm_um, n_d=n_d)
     prof = field_profile(asm, lam)
     mode = beam_waist(R_um, asm.geometric_length_um(), lam, waist_fwhm_um)
     return asm, prof, mode, vacuum_field(prof, effective_area(mode))

@@ -402,7 +402,7 @@ def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
 
     roots = _phase_roots(assembly, lam_window, scan_step, L_values)
     branches = []
-    for m in np.unique(roots.order):
+    for m in sorted(set(roots.order.tolist())):  # np.unique imports numpy.ma
         sel = np.flatnonzero(roots.order == m)
         if sel.size < 2:
             continue

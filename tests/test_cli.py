@@ -172,6 +172,34 @@ def test_report_missing_emitter_exits_2(tmp_path):
     assert _run(["report", "--config", str(cfg)]) == 2
 
 
+def test_report_honours_membrane_index(tmp_path):
+    # the air gap is tuned for the configured n_d, not for the default 2.41
+    from cavityforge.config import paper_baseline_dict, parse_config
+    from cavityforge.tmm import find_resonances
+    doc = paper_baseline_dict()
+    doc["cavity"]["n_d"] = 2.0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    out, base = tmp_path / "r.json", tmp_path / "base.json"
+    assert _run(["report", "--config", str(cfg), "-o", str(out)]) == 0
+    assert _run(["report", "--paper-baseline", "-o", str(base)]) == 0
+    L = json.loads(out.read_text())["cavity"]["L_tuned_nm"]
+    assert L != json.loads(base.read_text())["cavity"]["L_tuned_nm"]
+    asm = parse_config(doc).cavity.with_air_gap(L)
+    peaks = [r["lambda_res"] for r in find_resonances(asm, (636.0, 638.0))]
+    assert min(abs(lam - 637.0) for lam in peaks) < 1e-6
+
+
+def test_report_rates_outside_domain_exit_3(tmp_path):
+    # measured gamma_on below gamma_off is a physics-domain failure
+    from cavityforge.config import paper_baseline_dict
+    doc = paper_baseline_dict()
+    doc["measured"]["gamma_on_per_s"] = 0.5 * doc["measured"]["gamma_off_per_s"]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert _run(["report", "--config", str(cfg), "-o", str(tmp_path / "r.json")]) == 3
+
+
 def test_report_bare_cavity_exits_3(tmp_path):
     # no diamond layer: the vacuum field at the diamond maximum is undefined,
     # a physics-domain failure rather than an input error
@@ -265,10 +293,9 @@ def test_cli_import_defers_scipy_special():
     ("lorentzian", "lorentzian", "scipy"),
     ("gaussian", "lateral", "scipy"),
     ("lifetime", "lifetime", "scipy"),
-    ("voigt", "resonance", "scipy.optimize"),
+    ("voigt", "resonance", "scipy"),
 ])
 def test_fit_loads_no_scipy_solver(kind, synth, absent, tmp_path):
-    # only the Voigt profile needs scipy, and then only scipy.special
     csv = tmp_path / "data.csv"
     assert _run(["synth", synth, "--seed", "4", "-o", str(csv)]) == 0
     env = dict(os.environ)
@@ -278,6 +305,50 @@ def test_fit_loads_no_scipy_solver(kind, synth, absent, tmp_path):
             "from cavityforge.cli import main\n"
             f"assert main(['fit', {kind!r}, {str(csv)!r}, '-o', {str(tmp_path / 'fit.json')!r}]) == 0\n"
             f"print(sorted(m for m in sys.modules if m == {absent!r} or m.startswith({absent + '.'!r})))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+# the command shapes of the benchmark workloads; a fit row names the synth
+# kind that writes its input
+_SHAPES = {
+    "report": ["report", "--paper-baseline"],
+    "design-single": ["design", "--single", "t_d_nm=132", "L_nm=637"],
+    "design-sweep": ["design", "--t-d-nm", "198", "--l-nm", "478",
+                     "--terminations", "node", "antinode"],
+    "design-unstable": ["design", "--single", "t_d_nm=198", "L_nm=5400",
+                        "--r-um", "5.5"],
+    "dispersion": ["dispersion", "--paper-baseline", "--l-min-um", "1.5",
+                   "--l-max-um", "1.56"],
+    "dispersion-transverse": ["dispersion", "--paper-baseline", "--l-min-um", "1.5",
+                              "--l-max-um", "1.56", "--max-transverse-order", "2"],
+    "fit-voigt": ["fit", "voigt", "resonance"],
+    "fit-gaussian": ["fit", "gaussian", "lateral"],
+    "fit-lorentzian": ["fit", "lorentzian", "lorentzian"],
+    "fit-lifetime": ["fit", "lifetime", "lifetime"],
+    "fit-g2": ["fit", "g2", "g2"],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_command_runs_on_numpy_core(shape, tmp_path):
+    # every command runs on numpy's core and the standard library: no scipy,
+    # no numpy.ma
+    argv = list(_SHAPES[shape])
+    if argv[0] == "fit":
+        csv = tmp_path / "data.csv"
+        assert _run(["synth", argv[2], "--seed", "4", "-o", str(csv)]) == 0
+        argv[2] = str(csv)
+    want = 3 if shape == "design-unstable" else 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                      env.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from cavityforge.cli import main\n"
+            f"assert main({argv + ['-o', str(tmp_path / 'out')]!r}) == {want}\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "             or m == 'numpy.ma' or m.startswith('numpy.ma.')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

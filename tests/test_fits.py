@@ -40,6 +40,18 @@ def test_voigt_limits():
         pytest.approx(3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("z", [
+    np.linspace(-50.0, 50.0, 20001) + 0j,                  # real axis
+    np.linspace(-1e4, 1e4, 20001) + 0j,
+    *(np.linspace(-50.0, 50.0, 2001) + 1j * y for y in np.logspace(-8, 4, 13)),
+    (np.linspace(-5.0, 5.0, 201) + 1j) * 1e12,              # Lorentzian limit
+], ids=["real", "real-wide", *(f"im{e}" for e in range(-8, 5)), "lorentzian"])
+def test_faddeeva_matches_wofz(z):
+    from scipy.special import wofz
+    ref = wofz(z)
+    assert np.max(np.abs(fits._faddeeva(z) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_exp_gauss_decay_reduces_to_exponential():
     t = np.linspace(0.1, 50.0, 500)  # clear of the t=0 step midpoint
     a = exp_gauss_decay(t, 12.6, 1.0, 0.0, 1e-9)
