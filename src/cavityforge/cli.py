@@ -3,8 +3,10 @@ design sweeps and synthetic-data generation.
 
 Exit codes: 0 success, 2 input error, 3 physics-domain failure,
 4 fit non-convergence (result still written).  All output is
-deterministic: fixed inputs give byte-identical files (floats at
-9 significant digits, '.' decimal separator, UTF-8, Unix newlines).
+deterministic: fixed inputs give byte-identical files ('.' decimal
+separator, UTF-8, Unix newlines).  CSV outputs write floats at 9
+significant digits; JSON outputs (report, fit, --pareto-json) write
+json.dump's shortest round-trip floats.
 """
 
 from __future__ import annotations
@@ -127,11 +129,9 @@ def cmd_dispersion(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = _load_run_config(args)
-    e, cav = cfg.emitter, cfg.cavity
+    e = cfg.emitter
     lam = e.zpl_wavelength
-    asm, _, mode, vol = design_mod.cavity_mode(
-        cav.bottom_mirror, cav.top_mirror, cav.t_d, cav.L, cav.curvature_radius_um,
-        lam, cav.transverse_waist_fwhm_um, n_d=cav.diamond.n)
+    asm, _, mode, vol = design_mod.cavity_mode(cfg.cavity, lam)
 
     m = cfg.measured
     rates = None
@@ -195,9 +195,11 @@ def _read_csv(path: str):
                 f"{path}: column {name!r} does not declare a unit "
                 f"(suffixes {', '.join(_UNIT_SUFFIXES)} or {sorted(_UNITLESS_COLUMNS)})")
     try:
-        data = np.array([[float(c) for c in r] for r in rows[1:]], dtype=float)
+        data = np.array(rows[1:], dtype=float)
     except ValueError as exc:
-        raise ConfigError(f"{path}: non-numeric data row: {exc}") from exc
+        raise ConfigError(f"{path}: non-numeric or ragged data row: {exc}") from exc
+    if data.shape[1] != 2:
+        raise ConfigError(f"{path}: expected two values per data row, got {data.shape[1]}")
     return header, data[:, 0], data[:, 1]
 
 

@@ -39,13 +39,19 @@ def _check_keys(d: dict, allowed: set, where: str):
 
 def _mirror(d: dict, where: str) -> MirrorSpec:
     _check_keys(d, _MIRROR_KEYS, where)
+    pairs, high = d.get("pairs", 15), d.get("terminal_high_index", True)
+    whole = isinstance(pairs, int) or isinstance(pairs, float) and pairs.is_integer()
+    if isinstance(pairs, bool) or not whole:
+        raise ConfigError(f"{where}: pairs must be a whole number, got {pairs!r}")
+    if not isinstance(high, bool):
+        raise ConfigError(f"{where}: terminal_high_index must be true or false, got {high!r}")
     try:
         return MirrorSpec(
-            pairs=int(d.get("pairs", 15)),
+            pairs=int(pairs),
             center_wavelength=float(d.get("center_wavelength_nm", 637.0)),
             n_high=float(d.get("n_high", 2.06)),
             n_low=float(d.get("n_low", 1.46)),
-            terminal_high_index=bool(d.get("terminal_high_index", True)),
+            terminal_high_index=high,
             substrate_index=float(d.get("substrate_index", 1.46)),
             lumped_loss=float(d.get("lumped_loss", 0.0)),
         )

@@ -14,7 +14,8 @@ import numpy as np
 from .constants import CONSTANTS
 from .cqed import coupling_rate, dipole_from_lifetime, purcell_zpl_theory, transform_limit
 from .gaussian import beam_waist, effective_area, vacuum_field
-from .stack import EmitterSpec, GeometryError, MirrorSpec, assemble_cavity, emitter_rates
+from .stack import (CavityAssembly, EmitterSpec, GeometryError, MirrorSpec,
+                    assemble_cavity, emitter_rates)
 from .tmm import ResonanceError, _round_trip, field_profile
 
 # ZPL branching fraction at which eta_zpl is scored: the paper's 2.0 %
@@ -24,12 +25,16 @@ ETA_DEBYE_WALLER = 0.020
 DESIGN_RADIUS_UM = 5.5
 
 
-def design_mirrors(center_wavelength: float = 637.0,
-                   bottom_pairs: int = 15, top_pairs: int = 14):
-    """Low-index-terminated DBRs place field antinodes at both mirror
-    surfaces, matching the proposed node/antinode membrane designs."""
-    bottom = MirrorSpec(bottom_pairs, center_wavelength, terminal_high_index=False)
-    top = MirrorSpec(top_pairs, center_wavelength, terminal_high_index=False)
+# air gaps farther than this from the nominal one are not tuned to
+SEARCH_HALFWIDTH_NM = 170.0
+
+
+def design_mirrors(center_wavelength: float = 637.0):
+    """Low-index-terminated DBRs (15 pairs below, 14 above) place field
+    antinodes at both mirror surfaces, matching the proposed node/antinode
+    membrane designs."""
+    bottom = MirrorSpec(15, center_wavelength, terminal_high_index=False)
+    top = MirrorSpec(14, center_wavelength, terminal_high_index=False)
     return bottom, top
 
 
@@ -62,47 +67,41 @@ class SweepResult:
     provenance: dict
 
 
-def _tune_air_gap(bottom, top, t_d, L_nominal, R_um, lam_target,
-                  search_halfwidth=170.0, waist_fwhm_um=None, n_d=2.41):
-    """Air gap nearest L_nominal whose resonance sits at lam_target, for a
-    membrane of index n_d.
+def _tune_air_gap(assembly: CavityAssembly, lam: float) -> CavityAssembly:
+    """The assembly with the air gap nearest its own L whose resonance sits
+    at lam.
 
     Closes the round-trip phase of the gap, 4 pi L / lam + arg r_b + arg r_t
     = 2 pi m, with r_b (diamond plus bottom DBR) and r_t (top DBR) the
     reflection coefficients seen from the air.  The candidate gaps are
     spaced by lam / 2.
     """
-    base = assemble_cavity(bottom, t_d, max(L_nominal, 1.0), top, R_um,
-                           n_d=n_d, waist_fwhm_um=waist_fwhm_um)
-    lam = lam_target
-    offset = -np.angle(_round_trip(base, np.array([lam]))[0]) * lam / (4.0 * np.pi)
+    L_nominal = assembly.L
+    offset = -np.angle(_round_trip(assembly, np.array([lam]))[0]) * lam / (4.0 * np.pi)
     period = lam / 2.0
-    lo = max(L_nominal - search_halfwidth, 50.0)
-    hi = L_nominal + search_halfwidth
+    lo = max(L_nominal - SEARCH_HALFWIDTH_NM, 50.0)
+    hi = L_nominal + SEARCH_HALFWIDTH_NM
     orders = np.arange(np.ceil((lo - offset) / period),
                        np.floor((hi - offset) / period) + 1)
     if not orders.size:
         raise ResonanceError(
-            f"no resonance at {lam} nm within {search_halfwidth} nm of L={L_nominal} nm")
+            f"no resonance at {lam} nm within {SEARCH_HALFWIDTH_NM} nm of L={L_nominal} nm")
     gaps = offset + period * orders
-    return base.with_air_gap(float(gaps[np.argmin(np.abs(gaps - L_nominal))]))
+    return assembly.with_air_gap(float(gaps[np.argmin(np.abs(gaps - L_nominal))]))
 
 
-def optimize_kappa(g: float, gamma_zpl: float, gamma_psb: float,
-                   bounds: tuple = None) -> dict:
+def optimize_kappa(g: float, gamma_zpl: float, gamma_psb: float) -> dict:
     """Collection-optimal cavity decay rate.
 
     The adopted rule is kappa* = 2 g.  The ZPL emission probability
     eta_zpl(kappa) = F gamma_zpl / (gamma_psb + F gamma_zpl), with
     F = 4 g^2 / (kappa gamma_bulk), does not increase with kappa, so its
-    maximum over ``bounds`` (default g/50 to 50 g) is the lower bound.
+    maximum over g/50 to 50 g is the lower bound, g/50.
     That maximum is reported alongside the rule.
     """
     if g <= 0 or gamma_zpl <= 0 or gamma_psb < 0:
         raise ValueError("rates must be positive")
-    if bounds is None:
-        bounds = (g / 50.0, 50.0 * g)
-    kappa = bounds[0]
+    kappa = g / 50.0
     F = 4.0 * g ** 2 / (kappa * (gamma_zpl + gamma_psb))
     return {
         "kappa_rule": 2.0 * g,
@@ -113,21 +112,20 @@ def optimize_kappa(g: float, gamma_zpl: float, gamma_psb: float,
     }
 
 
-def cavity_mode(bottom: MirrorSpec, top: MirrorSpec, t_d: float, L_nominal: float,
-                R_um: float, lam: float, waist_fwhm_um=None, n_d=2.41):
-    """The resonant mode at lam: the air gap tuned nearest L_nominal for a
-    membrane of index n_d, its standing wave, the Gaussian transverse mode
-    and the vacuum field.
+def cavity_mode(assembly: CavityAssembly, lam: float):
+    """The resonant mode at lam: the assembly with its air gap tuned
+    nearest its own L, its standing wave, the Gaussian transverse mode and
+    the vacuum field.
 
-    Returns (assembly, profile, transverse mode, ModeVolumeReport).  A
-    measured intensity FWHM, when given, sets the waist.  Raises
+    Returns (assembly, profile, transverse mode, ModeVolumeReport).  The
+    assembly's measured intensity FWHM, when set, sets the waist.  Raises
     ResonanceError or GeometryError, the latter also for a cavity with no
     diamond, whose diamond maximum is undefined.
     """
-    asm = _tune_air_gap(bottom, top, t_d, L_nominal, R_um, lam,
-                        waist_fwhm_um=waist_fwhm_um, n_d=n_d)
+    asm = _tune_air_gap(assembly, lam)
     prof = field_profile(asm, lam)
-    mode = beam_waist(R_um, asm.geometric_length_um(), lam, waist_fwhm_um)
+    mode = beam_waist(asm.curvature_radius_um, asm.geometric_length_um(), lam,
+                      asm.transverse_waist_fwhm_um)
     return asm, prof, mode, vacuum_field(prof, effective_area(mode))
 
 
@@ -143,9 +141,10 @@ def evaluate_design(p: DesignPoint, e: EmitterSpec,
     """
     p = replace(p)
     lam = e.zpl_wavelength
+    bottom, top = design_mirrors(lam)
     try:
-        asm, prof, _, rep = cavity_mode(*design_mirrors(lam), p.t_d_nm, p.L_nm,
-                                        R_um, lam)
+        asm, prof, _, rep = cavity_mode(
+            assemble_cavity(bottom, p.t_d_nm, p.L_nm, top, R_um), lam)
     except (ResonanceError, GeometryError) as exc:
         p.valid = False
         p.reason = f"{type(exc).__name__}: {exc}"

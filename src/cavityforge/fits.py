@@ -197,7 +197,7 @@ def _levenberg_marquardt(fun: Callable, x0: np.ndarray, lo: np.ndarray,
 
 
 def _solve(residual_fn: Callable, p0: np.ndarray, names: list[str],
-           bounds=(-np.inf, np.inf)) -> FitResult:
+           bounds) -> FitResult:
     lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), p0.shape) for b in bounds)
     # a trial point on a bound can make a model singular; the solver
     # rejects the non-finite residuals that follow
@@ -282,17 +282,13 @@ def _weights(data: XYSeries) -> np.ndarray:
     return np.ones_like(data.y)
 
 
-def fit_voigt(data: XYSeries, init: Optional[dict] = None) -> FitResult:
+def fit_voigt(data: XYSeries) -> FitResult:
     """Fit a Voigt peak; Gaussian and Lorentzian FWHMs reported separately."""
     x, y, w = data.x, data.y, _weights(data)
     c0, a0, w0, off0 = _peak_moments(x, y)
     if x.size < 7 or w0 <= 0:
         raise FitError("need >= 7 points spanning the peak")
     p0 = np.array([c0, a0, w0 / 2.0, w0 / 2.0, off0])
-    if init:
-        for i, k in enumerate(("center", "amplitude", "fwhm_g", "fwhm_l", "offset")):
-            if k in init:
-                p0[i] = init[k]
     lo = [x[0] - (x[-1] - x[0]), 0.0, 0.0, 0.0, -np.inf]
     hi = [x[-1] + (x[-1] - x[0]), np.inf, np.inf, np.inf, np.inf]
 
@@ -335,19 +331,18 @@ def fit_gaussian(data: XYSeries) -> FitResult:
     return _fit_peak(data, gaussian, ["center", "fwhm", "amplitude", "offset"])
 
 
-def exp_gauss_decay(t, tau, amplitude, baseline, sigma, t0=0.0):
-    """Single exponential starting at t0 convolved with a Gaussian IRF.
+def exp_gauss_decay(t, tau, amplitude, baseline, sigma):
+    """Single exponential starting at t = 0 convolved with a Gaussian IRF.
 
-    Closed form: A/2 exp(sigma^2/(2 tau^2) - (t-t0)/tau)
-                 (1 + erf((t - t0 - sigma^2/tau)/(sigma sqrt(2)))).
+    Closed form: A/2 exp(sigma^2/(2 tau^2) - t/tau)
+                 (1 + erf((t - sigma^2/tau)/(sigma sqrt(2)))).
     sigma -> 0 reduces to a step exponential.
     """
-    dt = t - t0
     if sigma <= 0:
-        return baseline + amplitude * np.where(dt >= 0, np.exp(-dt / np.maximum(tau, 1e-12)), 0.0)
-    arg = sigma ** 2 / (2.0 * tau ** 2) - dt / tau
+        return baseline + amplitude * np.where(t >= 0, np.exp(-t / np.maximum(tau, 1e-12)), 0.0)
+    arg = sigma ** 2 / (2.0 * tau ** 2) - t / tau
     arg = np.clip(arg, -700.0, 700.0)
-    z = (dt - sigma ** 2 / tau) / (sigma * np.sqrt(2.0))
+    z = (t - sigma ** 2 / tau) / (sigma * np.sqrt(2.0))
     gate = 0.5 * (1.0 + np.asarray(_erf(z), dtype=float))
     return baseline + amplitude * np.exp(arg) * gate
 

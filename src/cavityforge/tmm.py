@@ -2,7 +2,10 @@
 
 Spectra, resonances (roots of the round-trip phase closure), mode
 dispersion lambda_res(L) and intracavity standing-wave field profiles.
-Scalar (polarization-degenerate) treatment; wavelengths in nm.
+Scalar (polarization-degenerate) treatment; wavelengths in nm.  A 2x2
+characteristic matrix is held as the tuple of its entries
+(m00, m01, m10, m11), each a scalar or an array over wavelength; _mul is
+the one product and _rt the one reflection/transmission formula.
 """
 
 from __future__ import annotations
@@ -68,63 +71,51 @@ class ResonanceError(RuntimeError):
 
 
 def _layer_entries(n: complex, thickness, lam):
-    """Entries (cos d, -i sin d / n, -i n sin d) of a layer's characteristic
-    matrix, d = 2 pi n thickness / lam; thickness or lam may be arrays.
+    """Entries (cos d, -i sin d / n, -i n sin d, cos d) of a layer's
+    characteristic matrix, d = 2 pi n thickness / lam; thickness or lam may
+    be arrays.
 
     The -i signs belong to fields ~ exp(i(kz - wt)), so Im n > 0 absorbs,
     as Layer documents (Born & Wolf, Principles of Optics, 1.6).
     """
     delta = 2.0 * np.pi * n * thickness / lam
     c, s = np.cos(delta), np.sin(delta)
-    return c, -1j * s / n, -1j * n * s
+    return c, -1j * s / n, -1j * n * s, c
 
 
 def characteristic_matrix(layer: Layer, lam: float) -> np.ndarray:
     """2x2 characteristic matrix of a single layer at wavelength lam (nm)."""
     if lam <= 0:
         raise ValueError("wavelength must be positive")
-    c, a, b = _layer_entries(layer.n, layer.thickness, lam)
-    return np.array([[c, a], [b, c]])
+    return np.array(_layer_entries(layer.n, layer.thickness, lam)).reshape(2, 2)
 
 
-def _stack_matrices(layers: Sequence[Layer], lams: np.ndarray) -> np.ndarray:
-    """Composed characteristic matrices, vectorized over wavelength.
+def _mul(m, k):
+    """Product m k of two 2x2 matrices held as entry tuples (m00, m01, m10, m11)."""
+    return (m[0] * k[0] + m[1] * k[2], m[0] * k[1] + m[1] * k[3],
+            m[2] * k[0] + m[3] * k[2], m[2] * k[1] + m[3] * k[3])
 
-    Returns an array of shape (len(lams), 2, 2).
+
+def _rt(m, n_in: complex, n_out: complex):
+    """Amplitude r and t of a stack with entries m between n_in and n_out.
+
+    [B, C] = m [1, n_out] are the entry-face fields of a unit transmitted
+    wave in the exit medium.
     """
-    lams = np.asarray(lams, dtype=float)
-    M = np.zeros((lams.size, 2, 2), dtype=complex)
-    M[:, 0, 0] = 1.0
-    M[:, 1, 1] = 1.0
-    for layer in layers:
-        if layer.thickness == 0.0:
-            continue
-        c, a, b = _layer_entries(layer.n, layer.thickness, lams)
-        m00 = M[:, 0, 0] * c + M[:, 0, 1] * b
-        m01 = M[:, 0, 0] * a + M[:, 0, 1] * c
-        m10 = M[:, 1, 0] * c + M[:, 1, 1] * b
-        m11 = M[:, 1, 0] * a + M[:, 1, 1] * c
-        M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1] = m00, m01, m10, m11
-    return M
-
-
-def _exit_vector(M: np.ndarray, n_out: complex):
-    """[B, C] = M @ [1, n_out]: the fields at the entry face for a unit
-    transmitted wave in the exit medium."""
-    return M[..., 0, 0] + M[..., 0, 1] * n_out, M[..., 1, 0] + M[..., 1, 1] * n_out
-
-
-def _rt_from_matrix(M: np.ndarray, n_in: complex, n_out: complex):
-    B, C = _exit_vector(M, n_out)
+    B, C = m[0] + m[1] * n_out, m[2] + m[3] * n_out
     denom = n_in * B + C
-    r = (n_in * B - C) / denom
-    t = 2.0 * n_in / denom
-    return r, t
+    return (n_in * B - C) / denom, 2.0 * n_in / denom
 
 
-def _transmittance(B, C, n_in: complex, n_out: complex):
-    t = 2.0 * n_in / (n_in * B + C)
-    return np.real(n_out) / np.real(n_in) * np.abs(t) ** 2
+def _stack_entries(layers: Sequence[Layer], lams: np.ndarray):
+    """Entries of the stack's composed characteristic matrix at every lams."""
+    lams = np.asarray(lams, dtype=float)
+    one, zero = np.ones(lams.shape, complex), np.zeros(lams.shape, complex)
+    m = (one, zero, zero, one)
+    for layer in layers:
+        if layer.thickness != 0.0:
+            m = _mul(m, _layer_entries(layer.n, layer.thickness, lams))
+    return m
 
 
 def stack_response(layers: Sequence[Layer], n_in: complex, n_out: complex,
@@ -132,8 +123,8 @@ def stack_response(layers: Sequence[Layer], n_in: complex, n_out: complex,
     """Amplitude and power coefficients of a layer stack at one wavelength."""
     if len(layers) < 1:
         raise ValueError("need at least one layer")
-    M = _stack_matrices(layers, np.array([lam]))
-    r, t = _rt_from_matrix(M[0], complex(n_in), complex(n_out))
+    m = tuple(e[0] for e in _stack_entries(layers, np.array([lam])))
+    r, t = _rt(m, complex(n_in), complex(n_out))
     R = float(np.abs(r) ** 2)
     T = float(np.real(n_out) / np.real(n_in) * np.abs(t) ** 2)
     return StackResponse(lam, complex(r), complex(t), R, T)
@@ -141,36 +132,26 @@ def stack_response(layers: Sequence[Layer], n_in: complex, n_out: complex,
 
 def transmission_spectrum(layers: Sequence[Layer], n_in: complex, n_out: complex,
                           lams: np.ndarray) -> np.ndarray:
-    n_out = complex(n_out)
-    B, C = _exit_vector(_stack_matrices(layers, lams), n_out)
-    return _transmittance(B, C, complex(n_in), n_out)
+    t = _rt(_stack_entries(layers, lams), complex(n_in), complex(n_out))[1]
+    return np.real(n_out) / np.real(n_in) * np.abs(t) ** 2
 
 
 def _dbr_entries(spec: MirrorSpec, lams: np.ndarray):
-    """Characteristic-matrix entries (m00, m01, m10, m11) of a quarter-wave
-    DBR, cavity side first.
+    """Characteristic-matrix entries of a quarter-wave DBR, cavity side
+    first.
 
     For the pair matrix P (det P = 1) the N-period product is
     P^N = U_{N-1}(x) P - U_{N-2}(x) I, x = tr(P) / 2, with U the Chebyshev
     polynomials of the second kind (Abeles; Born & Wolf 1.6.5).
     """
     first, second = build_dbr(spec)[:2]
-    c1, a1, b1 = _layer_entries(first.n, first.thickness, lams)
-    c2, a2, b2 = _layer_entries(second.n, second.thickness, lams)
-    p00, p01 = c1 * c2 + a1 * b2, c1 * a2 + a1 * c2
-    p10, p11 = b1 * c2 + c1 * b2, b1 * a2 + c1 * c2
-    two_x = p00 + p11
-    u_prev, u = np.zeros_like(p00), np.ones_like(p00)
+    p = _mul(_layer_entries(first.n, first.thickness, lams),
+             _layer_entries(second.n, second.thickness, lams))
+    two_x = p[0] + p[3]
+    u_prev, u = np.zeros_like(p[0]), np.ones_like(p[0])
     for _ in range(spec.pairs - 1):
         u_prev, u = u, two_x * u - u_prev
-    return u * p00 - u_prev, u * p01, u * p10, u * p11 - u_prev
-
-
-def _air_side_r(m, n_out: complex):
-    """Reflection coefficient, seen from the air, of a stack with
-    characteristic-matrix entries m on an exit medium n_out."""
-    B, C = m[0] + m[1] * n_out, m[2] + m[3] * n_out
-    return (B - C) / (B + C)
+    return u * p[0] - u_prev, u * p[1], u * p[2], u * p[3] - u_prev
 
 
 def _round_trip(assembly: CavityAssembly, lams: np.ndarray) -> np.ndarray:
@@ -183,11 +164,9 @@ def _round_trip(assembly: CavityAssembly, lams: np.ndarray) -> np.ndarray:
     m = _dbr_entries(assembly.bottom_mirror, lams)
     d = assembly.diamond
     if d.thickness > 0:
-        c, a, b = _layer_entries(d.n, d.thickness, lams)
-        m = (c * m[0] + a * m[2], c * m[1] + a * m[3],
-             b * m[0] + c * m[2], b * m[1] + c * m[3])
-    return (_air_side_r(m, assembly.n_in)
-            * _air_side_r(_dbr_entries(assembly.top_mirror, lams), assembly.n_out))
+        m = _mul(_layer_entries(d.n, d.thickness, lams), m)
+    return (_rt(m, 1.0 + 0j, assembly.n_in)[0]
+            * _rt(_dbr_entries(assembly.top_mirror, lams), 1.0 + 0j, assembly.n_out)[0])
 
 
 def _fwhm_phase(assembly: CavityAssembly, z):
@@ -304,8 +283,10 @@ def find_resonances(assembly: CavityAssembly, lam_window: tuple[float, float],
             for lam, w, t0 in zip(roots.lam, roots.width, T0)]
 
 
-def field_profile(assembly: CavityAssembly, lam_res: float,
-                  min_samples: int = 2000) -> FieldProfile:
+_MIN_SAMPLES = 2000  # lower bound on field_profile's sample count over the stack
+
+
+def field_profile(assembly: CavityAssembly, lam_res: float) -> FieldProfile:
     """Standing-wave |E(z)| through the stack at a resonant wavelength.
 
     Unit-amplitude illumination from the bottom substrate; amplitudes are
@@ -337,10 +318,10 @@ def field_profile(assembly: CavityAssembly, lam_res: float,
     EH_upper = EH_top
     for idx in range(len(layers) - 1, -1, -1):
         ly = layers[idx]
-        dz = min(lam_res / (20.0 * ly.n.real), total / min_samples)
+        dz = min(lam_res / (20.0 * ly.n.real), total / _MIN_SAMPLES)
         npts = max(int(np.ceil(ly.thickness / dz)) + 1, 8)
         z_local = np.linspace(0.0, ly.thickness, npts)  # from layer bottom
-        c, a, b = _layer_entries(ly.n, ly.thickness - z_local, lam_res)
+        c, a, b, _ = _layer_entries(ly.n, ly.thickness - z_local, lam_res)
         E = c * EH_upper[0] + a * EH_upper[1]
         H = b * EH_upper[0] + c * EH_upper[1]
         zs.append(edges[idx] + z_local)

@@ -49,6 +49,14 @@ def test_fit_numeric_header_exits_2(tmp_path):
     assert _run(["fit", "lorentzian", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("rows", ["0,1,7\n1,2,7\n2,1,7\n",   # a third value in every row
+                                  "0,1\n1,2,7\n2,1\n"])       # ragged
+def test_fit_rows_not_two_wide_exit_2(rows, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x_nm,y_per_s\n" + rows)
+    assert _run(["fit", "lorentzian", str(bad)]) == 2
+
+
 def test_fit_missing_file_exits_2(tmp_path):
     assert _run(["fit", "voigt", str(tmp_path / "nope.csv")]) == 2
 
@@ -238,6 +246,21 @@ def test_design_single_without_membrane_exits_3(tmp_path, capsys):
     assert _run(["design", "--single", "t_d_nm=0", "L_nm=637",
                  "-o", str(tmp_path / "d.csv")]) == 3
     assert "no diamond layer" in capsys.readouterr().err
+
+
+def test_design_single_negative_gap_exits_3(tmp_path, capsys):
+    assert _run(["design", "--single", "t_d_nm=198", "L_nm=-5",
+                 "-o", str(tmp_path / "d.csv")]) == 3
+    assert "GeometryError" in capsys.readouterr().err
+
+
+def test_design_sweep_keeps_negative_gap_as_invalid_row(tmp_path):
+    out = tmp_path / "d.csv"
+    assert _run(["design", "--t-d-nm", "198", "--l-nm", "-5", "478",
+                 "--terminations", "node", "-o", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[3] for r in rows] == ["false", "true"]
+    assert rows[0][4].startswith("GeometryError")
 
 
 # -------------------------------------------------------------------- synth

@@ -87,3 +87,12 @@ def test_measured_block_strict():
     doc["measured"]["Gamma_L"] = 60.6
     with pytest.raises(ConfigError):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("key, value", [("terminal_high_index", "false"),
+                                        ("pairs", 15.7)])
+def test_mirror_values_are_not_coerced(key, value):
+    doc = paper_baseline_dict()
+    doc["cavity"]["top_mirror"][key] = value
+    with pytest.raises(ConfigError, match=key):
+        parse_config(doc)

@@ -3,7 +3,7 @@ import pytest
 
 from cavityforge.design import (DesignPoint, _tune_air_gap, design_mirrors,
                                 evaluate_design, optimize_kappa, pareto_indices, sweep)
-from cavityforge.stack import EmitterSpec, MirrorSpec
+from cavityforge.stack import EmitterSpec, MirrorSpec, assemble_cavity
 from cavityforge.tmm import ResonanceError, find_resonances
 
 EMITTER = EmitterSpec()
@@ -23,9 +23,10 @@ def test_design_mirrors_low_index_terminated():
 ])
 def test_tune_air_gap_is_exact_and_independent_of_start(mirrors, t_d, L, R_um):
     bottom, top = mirrors
-    asm = _tune_air_gap(bottom, top, t_d, L, R_um, 637.0)
+    base = assemble_cavity(bottom, t_d, L, top, R_um)
+    asm = _tune_air_gap(base, 637.0)
     for start in (L - 30.0, L + 30.0):
-        assert _tune_air_gap(bottom, top, t_d, start, R_um, 637.0).L == asm.L
+        assert _tune_air_gap(base.with_air_gap(start), 637.0).L == asm.L
     peaks = [r["lambda_res"] for r in find_resonances(asm, (636.0, 638.0))]
     assert min(abs(lam - 637.0) for lam in peaks) < 1e-6
 

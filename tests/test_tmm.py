@@ -105,9 +105,8 @@ def test_reciprocity_lossless(layers, nio, lam):
 @settings(max_examples=150, deadline=None)
 @given(_stack, _wavelength)
 def test_composition_matches_matrix_product(layers, lam):
-    from cavityforge.tmm import _stack_matrices
-    lams = np.array([lam])
-    M_all = _stack_matrices(layers, lams)[0]
+    from cavityforge.tmm import _stack_entries
+    M_all = np.array([e[0] for e in _stack_entries(layers, np.array([lam]))]).reshape(2, 2)
     M_prod = np.eye(2, dtype=complex)
     for lay in layers:
         M_prod = M_prod @ characteristic_matrix(lay, lam)
