@@ -25,6 +25,9 @@ CASES = {
     "dispersion_paper_baseline_1.5_1.8.csv": [
         "dispersion", "--paper-baseline", "--l-min-um", "1.5", "--l-max-um", "1.8",
         "--max-transverse-order", "2"],
+    # the full map: 12 branches, the only air-like ones among them
+    "dispersion_paper_baseline_1.5_4.5.csv": [
+        "dispersion", "--paper-baseline", "--max-transverse-order", "2"],
     "fit_voigt_zpl2_resonance.json": ["fit", "voigt", str(REPO / "data" / "zpl2_resonance.csv")],
     "fit_gaussian_zpl6_lateral.json": ["fit", "gaussian",
                                        str(REPO / "data" / "zpl6_lateral.csv")],
