@@ -85,11 +85,13 @@ def vacuum_field(profile: FieldProfile, A_eff_um2: float) -> ModeVolumeReport:
     V_eff = A_eff * int eps_r(z) |f(z)|^2 dz / (eps_r(z*) |f(z*)|^2) with z*
     the diamond-internal field maximum; E_vac(z*) = sqrt(hbar w / (2 eps0
     eps_r(z*) V_eff)).  The global-maximum variant (z* chosen to maximize
-    E_vac anywhere in the stack) is reported alongside.
+    E_vac anywhere in the stack) is reported alongside.  The integral is
+    the profile's exact layer energies; the maxima are read from its
+    samples.
     """
     lam = profile.resonant_wavelength
     z, amp, eps = profile.z, profile.amplitude, profile.eps_r
-    integral = np.trapezoid(eps * amp ** 2, z)  # nm * (eps |f|^2) units
+    integral = float(profile.layer_energy.sum())  # exact, nm * (eps |f|^2) units
 
     dmask = profile.mask_for_layer("diamond")
     if not dmask.any():

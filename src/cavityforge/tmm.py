@@ -6,6 +6,12 @@ Scalar (polarization-degenerate) treatment; wavelengths in nm.  A 2x2
 characteristic matrix is held as the tuple of its entries
 (m00, m01, m10, m11), each a scalar or an array over wavelength; _mul is
 the one product and _rt the one reflection/transmission formula.
+
+The energy of the standing wave in each layer, int eps_r |E|^2 dz, is
+exact: _layer_energies integrates E = A e^{iks} + B e^{-iks} in closed
+form layer by layer, for many (air gap, wavelength) samples at once.
+Branch character in dispersion_map and the integrals behind
+diamond_energy_fraction and the vacuum field all come from it.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ class FieldProfile:
     layer_names: list[str]
     antinodes: np.ndarray          # nm
     nodes: np.ndarray              # nm
+    layer_energy: np.ndarray       # exact int eps_r |E|^2 dz of each layer, nm
 
     def mask_for_layer(self, name: str) -> np.ndarray:
         mask = np.zeros_like(self.z, dtype=bool)
@@ -293,17 +300,13 @@ def field_profile(assembly: CavityAssembly, lam_res: float) -> FieldProfile:
     relative.  Rejects wavelengths more than one cold linewidth away from
     resonance, judged by the round-trip phase at lam_res.
     """
-    layers = [ly for ly in assembly.layers() if ly.thickness > 0]
+    all_layers = assembly.layers()
+    layers = [ly for ly in all_layers if ly.thickness > 0]
     n_in, n_out = assembly.n_in, assembly.n_out
-
-    # on resonance: the round-trip phase is within one cold linewidth of 2 pi m
-    z = _round_trip(assembly, np.array([lam_res]))[0]
-    miss = abs(float(np.angle(z * np.exp(4j * np.pi * assembly.L / lam_res))))
-    width = float(_fwhm_phase(assembly, z))
-    if miss > width:
-        raise ResonanceError(
-            f"{lam_res} nm is off resonance: its round-trip phase misses "
-            f"2 pi m by {miss:.4g} rad, more than one linewidth ({width:.4g} rad)")
+    L, lam = np.array([assembly.L]), np.array([lam_res])
+    _check_resonant(assembly, L, lam)
+    energy = [e for ly, e in zip(all_layers, _layer_energies(assembly, L, lam)[:, 0])
+              if ly.thickness > 0]
 
     resp = stack_response(layers, n_in, n_out, lam_res)
     total = sum(ly.thickness for ly in layers)
@@ -337,7 +340,65 @@ def field_profile(assembly: CavityAssembly, lam_res: float) -> FieldProfile:
 
     anti, node = _extrema(z, amp)
     return FieldProfile(z, amp, eps_r, lam_res, edges,
-                        [ly.name for ly in layers], anti, node)
+                        [ly.name for ly in layers], anti, node, np.array(energy))
+
+
+def _check_resonant(assembly: CavityAssembly, L: np.ndarray, lam: np.ndarray) -> None:
+    """Raise ResonanceError unless each (air gap L, wavelength lam) is on
+    resonance: its round-trip phase within one cold linewidth of 2 pi m."""
+    z = _round_trip(assembly, lam)
+    miss = np.abs(np.angle(z * np.exp(4j * np.pi * L / lam)))
+    width = _fwhm_phase(assembly, z)
+    for i in np.flatnonzero(miss > width)[:1]:
+        raise ResonanceError(
+            f"{float(lam[i])} nm is off resonance: its round-trip phase misses "
+            f"2 pi m by {miss[i]:.4g} rad, more than one linewidth ({width[i]:.4g} rad)")
+
+
+def _layer_energies(assembly: CavityAssembly, L: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Exact int eps_r |E|^2 dz of every layer of assembly.layers(), with the
+    air gap L thick, at wavelength lam: an array (layer, sample) over the
+    samples of the equal-shape arrays L and lam, in field_profile's units
+    (unit illumination from the bottom substrate, z in nm).
+
+    Steps [E, H] down from the exit face, where a unit transmitted wave
+    has [1, n_out].  Below the top face of a layer of index n, at depth s,
+    E(s) = A e^{iks} + B e^{-iks} with A, B = (E_t -+ H_t / n) / 2 and
+    k = 2 pi n / lam = k' + i kappa (Born & Wolf 1.6), so over its
+    thickness d
+
+        int |E|^2 ds = |A|^2 (1 - e^{-2 kappa d}) / 2 kappa
+                       + |B|^2 (e^{2 kappa d} - 1) / 2 kappa
+                       + Re[A B* (e^{2ik'd} - 1) / (i k')],
+
+    where each of the first two terms is |.|^2 d for kappa = 0.  The
+    entry-face fields then give t, and every energy scales by |t|^2.
+    """
+    E = np.ones(lam.shape, complex)
+    H = assembly.n_out * E
+    energies = []
+    for ly in reversed(assembly.layers()):
+        n, d = ly.n, (L if ly is assembly.air_gap else ly.thickness)
+        A, B = (E - H / n) / 2.0, (E + H / n) / 2.0
+        k = 2.0 * np.pi * n / lam
+        cross = (A * B.conj() * np.expm1(2j * k.real * d) / (1j * k.real)).real
+        if n.imag > 0:
+            two_kappa = 2.0 * k.imag
+            e = (np.abs(B) ** 2 * np.expm1(two_kappa * d)
+                 - np.abs(A) ** 2 * np.expm1(-two_kappa * d)) / two_kappa
+        else:
+            e = (np.abs(A) ** 2 + np.abs(B) ** 2) * d
+        energies.append((n * n).real * (e + cross))
+        c, a, b, _ = _layer_entries(n, d, lam)
+        E, H = c * E + a * H, b * E + c * H
+    t = 2.0 * assembly.n_in / (assembly.n_in * E + H)
+    return np.array(energies[::-1]) * np.abs(t) ** 2
+
+
+def _diamond_fraction(names: Sequence[str], energy: np.ndarray):
+    """Share of the energy (layer, ...) held by the layers named diamond."""
+    return energy[[i for i, nm_ in enumerate(names) if nm_ == "diamond"]].sum(axis=0) \
+        / energy.sum(axis=0)
 
 
 def _extrema(z: np.ndarray, amp: np.ndarray):
@@ -355,13 +416,9 @@ def _extrema(z: np.ndarray, amp: np.ndarray):
 
 
 def diamond_energy_fraction(profile: FieldProfile) -> float:
-    """Fraction of eps_r |E|^2 energy residing in the diamond layer."""
-    w = profile.eps_r * profile.amplitude ** 2
-    total = np.trapezoid(w, profile.z)
-    mask = profile.mask_for_layer("diamond")
-    if not mask.any():
-        return 0.0
-    return float(np.trapezoid(w[mask], profile.z[mask]) / total)
+    """Fraction of the eps_r |E|^2 energy residing in the diamond layer,
+    from the profile's exact layer energies."""
+    return float(_diamond_fraction(profile.layer_names, profile.layer_energy))
 
 
 def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
@@ -376,6 +433,11 @@ def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
     of phi(lam; L) = 2 pi m; branches with fewer than two samples are
     dropped.  Roots within five linewidths of the window edge warn, as in
     find_resonances.  Slopes d(lambda)/dL are np.gradient along each branch.
+
+    A branch's character comes from the exact in-diamond energy fraction
+    at its first, middle and last sample, all branches in one
+    _layer_energies call: air-like when all three are below 0.25,
+    diamond-like when all are above 0.75, else mixed.
     """
     L_values = np.asarray(L_values, dtype=float)
     if not np.all(np.diff(L_values) > 0):
@@ -389,25 +451,30 @@ def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
             continue
         Ls, lams = L_values[roots.index[sel]], roots.lam[sel]
         slopes = np.gradient(lams, Ls)
-        br = ModeBranch([BranchSample(L, float(lam), float(sl))
-                         for L, lam, sl in zip(Ls, lams, slopes)], order=int(m))
-        _classify_branch(assembly, br)
-        branches.append(br)
+        branches.append(ModeBranch([BranchSample(L, float(lam), float(sl))
+                                    for L, lam, sl in zip(Ls, lams, slopes)],
+                                   order=int(m)))
+    if branches:
+        _classify_branches(assembly, branches)
     branches.sort(key=lambda b: (b.samples[0].L, b.samples[0].lambda_res))
     return branches
 
 
-def _classify_branch(assembly: CavityAssembly, branch: ModeBranch) -> None:
-    fracs = []
-    idxs = {0, len(branch.samples) // 2, len(branch.samples) - 1}
-    for i in sorted(idxs):
-        s = branch.samples[i]
-        prof = field_profile(assembly.with_air_gap(s.L), s.lambda_res)
-        s.diamond_fraction = diamond_energy_fraction(prof)
-        fracs.append(s.diamond_fraction)
-    if max(fracs) < 0.25:
-        branch.character = "air-like"
-    elif min(fracs) > 0.75:
-        branch.character = "diamond-like"
-    else:
-        branch.character = "mixed"
+def _classify_branches(assembly: CavityAssembly, branches: list[ModeBranch]) -> None:
+    picked = [[br.samples[i] for i in sorted({0, len(br.samples) // 2, len(br.samples) - 1})]
+              for br in branches]
+    flat = [s for samples in picked for s in samples]
+    L = np.array([s.L for s in flat])
+    lam = np.array([s.lambda_res for s in flat])
+    _check_resonant(assembly, L, lam)
+    names = [ly.name for ly in assembly.layers()]
+    for s, f in zip(flat, _diamond_fraction(names, _layer_energies(assembly, L, lam))):
+        s.diamond_fraction = float(f)
+    for br, samples in zip(branches, picked):
+        fracs = [s.diamond_fraction for s in samples]
+        if max(fracs) < 0.25:
+            br.character = "air-like"
+        elif min(fracs) > 0.75:
+            br.character = "diamond-like"
+        else:
+            br.character = "mixed"

@@ -270,7 +270,7 @@ def test_criterion_8b_vacuum_normalization_half_quantum():
                         resonant_wavelength=637.0,
                         layer_edges=np.array([0.0, 955.5]),
                         layer_names=["diamond"], antinodes=np.array([]),
-                        nodes=np.array([]))
+                        nodes=np.array([]), layer_energy=np.array([955.5 / 2]))
     rep = vacuum_field(prof, 0.781)
     i_star = int(np.argmin(np.abs(prof.z - rep.z_max_diamond_nm)))
     E = rep.E_vac_max_diamond * amp / amp[i_star]

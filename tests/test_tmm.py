@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavityforge.stack import Layer, MirrorSpec, assemble_cavity
-from cavityforge.tmm import (ResonanceError, characteristic_matrix,
+from cavityforge import tmm
+from cavityforge.design import _tune_air_gap
+from cavityforge.gaussian import vacuum_field
+from cavityforge.tmm import (ResonanceError, _layer_energies, characteristic_matrix,
                              diamond_energy_fraction, dispersion_map,
                              field_profile, find_resonances, stack_response,
                              transmission_spectrum)
@@ -246,6 +249,74 @@ def test_diamond_energy_fraction_bounds(baseline_resonant):
     prof = field_profile(asm, lam)
     frac = diamond_energy_fraction(prof)
     assert 0.0 < frac < 1.0
+
+
+# ----------------------------------------------------- exact layer energies
+
+
+def _trapezoid_energies(asm, lam, samples=64000):
+    # reference: walk [E, H] down with the 2x2 matrices from the transmitted
+    # wave and integrate eps_r |E|^2 by the trapezoid rule in each layer
+    resp = stack_response(asm.layers(), asm.n_in, asm.n_out, lam)
+    EH = np.array([resp.t, asm.n_out * resp.t])
+    out = []
+    for ly in reversed(asm.layers()):
+        s = np.linspace(0.0, ly.thickness, samples)   # depth below the top face
+        delta = 2.0 * np.pi * ly.n * s / lam
+        E = np.cos(delta) * EH[0] - 1j * np.sin(delta) / ly.n * EH[1]
+        out.append((ly.n ** 2).real * np.trapezoid(np.abs(E) ** 2, s))
+        EH = characteristic_matrix(ly, lam) @ EH
+    return np.array(out[::-1])
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(min_value=50.0, max_value=1000.0),
+       st.floats(min_value=500.0, max_value=4000.0),
+       st.sampled_from([0.0, 2e-3]))
+def test_layer_energies_match_fine_trapezoid(t_d, L, kappa_d):
+    # one absorbing layer when kappa_d > 0: the diamond
+    m_bot = MirrorSpec(pairs=15, center_wavelength=637.0)
+    m_top = MirrorSpec(pairs=14, center_wavelength=637.0)
+    lam = 637.0
+    asm = _tune_air_gap(assemble_cavity(m_bot, t_d, L, m_top, R_um=16.0,
+                                        n_d=2.41 + kappa_d * 1j), lam)
+    exact = _layer_energies(asm, np.array([asm.L]), np.array([lam]))[:, 0]
+    np.testing.assert_allclose(exact, _trapezoid_energies(asm, lam), rtol=1e-8, atol=0)
+
+
+def test_batched_energies_equal_one_sample_walk(paper_cavity):
+    branches = dispersion_map(paper_cavity, np.arange(1500.0, 1801.0, 20.0),
+                              (600.0, 700.0), scan_step=0.005)
+    L = np.array([s.L for br in branches for s in br.samples])
+    lam = np.array([s.lambda_res for br in branches for s in br.samples])
+    batched = _layer_energies(paper_cavity, L, lam)
+    for i in range(L.size):
+        one = _layer_energies(paper_cavity, L[i:i + 1], lam[i:i + 1])[:, 0]
+        np.testing.assert_allclose(batched[:, i], one, rtol=1e-14, atol=0)
+    # field_profile carries the same energies, from the same walk
+    prof = field_profile(paper_cavity.with_air_gap(L[0]), lam[0])
+    np.testing.assert_allclose(prof.layer_energy, batched[:, 0], rtol=1e-14, atol=0)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from([200, 500, 1000, 4000, 16000]))
+def test_energies_do_not_depend_on_sample_count(baseline_resonant, samples):
+    asm, lam = baseline_resonant
+
+    def readings():
+        prof = field_profile(asm, lam)
+        rep = vacuum_field(prof, 0.781)
+        # the integral vacuum_field used, undone from V_eff and the sampled maximum
+        mask = prof.mask_for_layer("diamond")
+        peak = prof.eps_r[mask][0] * prof.amplitude[mask].max() ** 2
+        return diamond_energy_fraction(prof), rep.V_eff_um3 * peak / (0.781 * 1e-3)
+
+    frac0, integral0 = readings()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tmm, "_MIN_SAMPLES", samples)
+        frac, integral = readings()
+    assert frac == frac0
+    assert integral == pytest.approx(integral0, rel=1e-13)
 
 
 # ------------------------------------------------------------ dispersion map
