@@ -24,7 +24,7 @@ from .fits import (DecayHistogram, FitError, FitResult, XYSeries,
                    fit_voigt, g2_pulse_areas, gaussian, lorentzian,
                    voigt_profile)
 from .design import (DesignPoint, SweepResult, cavity_mode, design_mirrors,
-                     evaluate_design, optimize_kappa, pareto_indices, sweep)
+                     evaluate_design, pareto_indices, sweep)
 from .config import ConfigError, RunConfig, load_config, paper_baseline_dict, parse_config
 
 __version__ = "0.1.0"

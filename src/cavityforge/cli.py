@@ -174,13 +174,13 @@ def cmd_report(args) -> int:
 def _read_csv(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = [r for r in reader if r and any(c.strip() for c in r)]
+            # lines of only whitespace and commas hold no cell; skip them
+            lines = [ln for ln in fh.read().splitlines() if ln.replace(",", "").strip()]
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if len(rows) < 3:
+    if len(lines) < 3:
         raise ConfigError(f"{path}: need a header and at least two data rows")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in next(csv.reader(lines[:1]))]
     if len(header) != 2:
         raise ConfigError(f"{path}: expected exactly two columns, got {len(header)}")
     for name in header:
@@ -195,7 +195,8 @@ def _read_csv(path: str):
                 f"{path}: column {name!r} does not declare a unit "
                 f"(suffixes {', '.join(_UNIT_SUFFIXES)} or {sorted(_UNITLESS_COLUMNS)})")
     try:
-        data = np.array(rows[1:], dtype=float)
+        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2, comments=None,
+                          quotechar='"')
     except ValueError as exc:
         raise ConfigError(f"{path}: non-numeric or ragged data row: {exc}") from exc
     if data.shape[1] != 2:
@@ -273,6 +274,7 @@ def _infer_termination(t_d_nm: float, n_d: float, lam_nm: float) -> str:
 
 
 def _parse_single(tokens: list) -> dict:
+    """key=value tokens of --single; t_d_nm and L_nm as finite floats."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
@@ -284,6 +286,12 @@ def _parse_single(tokens: list) -> dict:
     for req in ("t_d_nm", "L_nm"):
         if req not in out:
             raise ConfigError(f"--single requires {req}=...")
+        try:
+            out[req] = float(out[req])
+        except ValueError:
+            raise ConfigError(f"--single: {req} must be a number, got {out[req]!r}") from None
+        if not np.isfinite(out[req]):
+            raise ConfigError(f"--single: {req} must be finite, got {out[req]}")
     return out
 
 
@@ -296,8 +304,7 @@ def cmd_design(args) -> int:
 
     if args.single:
         spec = _parse_single(args.single)
-        t_d = float(spec["t_d_nm"])
-        L = float(spec["L_nm"])
+        t_d, L = spec["t_d_nm"], spec["L_nm"]
         term = spec.get("termination") or _infer_termination(
             t_d, emitter.host_index, emitter.zpl_wavelength)
         point = design_mod.evaluate_design(

@@ -90,28 +90,6 @@ def _tune_air_gap(assembly: CavityAssembly, lam: float) -> CavityAssembly:
     return assembly.with_air_gap(float(gaps[np.argmin(np.abs(gaps - L_nominal))]))
 
 
-def optimize_kappa(g: float, gamma_zpl: float, gamma_psb: float) -> dict:
-    """Collection-optimal cavity decay rate.
-
-    The adopted rule is kappa* = 2 g.  The ZPL emission probability
-    eta_zpl(kappa) = F gamma_zpl / (gamma_psb + F gamma_zpl), with
-    F = 4 g^2 / (kappa gamma_bulk), does not increase with kappa, so its
-    maximum over g/50 to 50 g is the lower bound, g/50.
-    That maximum is reported alongside the rule.
-    """
-    if g <= 0 or gamma_zpl <= 0 or gamma_psb < 0:
-        raise ValueError("rates must be positive")
-    kappa = g / 50.0
-    F = 4.0 * g ** 2 / (kappa * (gamma_zpl + gamma_psb))
-    return {
-        "kappa_rule": 2.0 * g,
-        "kappa_numeric": float(kappa),
-        "objective_at_numeric": float(F * gamma_zpl / (gamma_psb + F * gamma_zpl)),
-        "rationale": "kappa = 2 g rule adopted; eta_zpl falls with kappa, so "
-                     "its maximum sits at the lower bound",
-    }
-
-
 def cavity_mode(assembly: CavityAssembly, lam: float):
     """The resonant mode at lam: the assembly with its air gap tuned
     nearest its own L, its standing wave, the Gaussian transverse mode and
@@ -134,9 +112,10 @@ def evaluate_design(p: DesignPoint, e: EmitterSpec,
     """Complete a design point: field, vacuum field, g, kappa, Purcell, eta.
 
     The cavity uses design_mirrors at the emitter's ZPL and the waist of
-    the mirror geometry.  kappa follows the 2 g rule of optimize_kappa;
-    eta_zpl is scored at ETA_DEBYE_WALLER and the transform limit at the
-    emitter's own debye_waller.  A geometry without a resonant mode (no
+    the mirror geometry.  kappa is 2 g at every point (eta_zpl alone only
+    falls as kappa grows, so it sets no optimum of its own); eta_zpl is
+    scored at ETA_DEBYE_WALLER and the transform limit at the emitter's
+    own debye_waller.  A geometry without a resonant mode (no
     resonance, unstable, no diamond) returns invalid with the reason.
     """
     p = replace(p)
@@ -172,7 +151,7 @@ def evaluate_design(p: DesignPoint, e: EmitterSpec,
     p.g_rad_s = g
 
     w = 2.0 * np.pi * CONSTANTS.c / (lam * 1e-9)
-    kappa = 2.0 * g      # the rule optimize_kappa adopts
+    kappa = 2.0 * g      # kappa = 2 g everywhere
     p.kappa_applied_s = kappa
     p.Q_required = w / kappa
     F = purcell_zpl_theory(g, kappa, rates["gamma_bulk"])

@@ -8,6 +8,7 @@ substrate interface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -23,6 +24,8 @@ class Layer:
     thickness: float    # nm, > 0 (zero allowed only for dummy layers)
 
     def __post_init__(self):
+        if not math.isfinite(self.thickness):
+            raise GeometryError(f"layer {self.name!r}: thickness {self.thickness} is not finite")
         if self.thickness < 0:
             raise GeometryError(f"layer {self.name!r}: thickness {self.thickness} < 0")
         if self.n.real < 1.0:

@@ -57,6 +57,34 @@ def test_fit_rows_not_two_wide_exit_2(rows, tmp_path):
     assert _run(["fit", "lorentzian", str(bad)]) == 2
 
 
+def test_fit_skips_blank_whitespace_and_comma_only_lines(tmp_path):
+    clean = tmp_path / "clean.csv"
+    assert _run(["synth", "lorentzian", "--seed", "3", "-o", str(clean)]) == 0
+    lines = clean.read_text().splitlines()
+    padded = tmp_path / "padded.csv"
+    padded.write_text("\n   \n" + lines[0] + "\n\t\n" + "\n , \n".join(lines[1:]) + "\n,\n\n")
+    out_clean, out_padded = tmp_path / "a.json", tmp_path / "b.json"
+    assert _run(["fit", "lorentzian", str(clean), "-o", str(out_clean)]) == 0
+    assert _run(["fit", "lorentzian", str(padded), "-o", str(out_padded)]) == 0
+    assert out_padded.read_bytes() == out_clean.read_bytes()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,1\n1,abc\n2,1\n", "non-numeric or ragged"),
+    ("0,1\n1,\n2,1\n", "non-numeric or ragged"),           # empty cell
+    ("0,1\n1,2 3\n2,1\n", "non-numeric or ragged"),        # two numbers in one cell
+    ("0,1\n1\n2,1\n", "non-numeric or ragged"),            # one row short
+    ("0\n1\n2\n", "two values per data row, got 1"),
+    ("0,1\n", "at least two data rows"),
+    ("\n  \n", "at least two data rows"),
+])
+def test_fit_bad_data_rows_exit_2(rows, message, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x_nm,y_per_s\n" + rows)
+    assert _run(["fit", "lorentzian", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_fit_missing_file_exits_2(tmp_path):
     assert _run(["fit", "voigt", str(tmp_path / "nope.csv")]) == 2
 
@@ -252,6 +280,27 @@ def test_design_single_negative_gap_exits_3(tmp_path, capsys):
     assert _run(["design", "--single", "t_d_nm=198", "L_nm=-5",
                  "-o", str(tmp_path / "d.csv")]) == 3
     assert "GeometryError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point, message", [
+    (["t_d_nm=198", "L_nm=nan"], "L_nm must be finite, got nan"),
+    (["t_d_nm=198", "L_nm=inf"], "L_nm must be finite, got inf"),
+    (["t_d_nm=-inf", "L_nm=478"], "t_d_nm must be finite, got -inf"),
+    (["t_d_nm=198", "L_nm=far"], "L_nm must be a number, got 'far'"),
+])
+def test_design_single_rejects_non_finite_values(point, message, tmp_path, capsys):
+    assert _run(["design", "--single", *point, "-o", str(tmp_path / "d.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_design_sweep_keeps_non_finite_values_as_invalid_rows(tmp_path):
+    out = tmp_path / "d.csv"
+    assert _run(["design", "--t-d-nm", "198", "nan", "--l-nm", "nan", "inf", "478",
+                 "--terminations", "node", "-o", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[3] for r in rows] == ["false", "false", "true"] + ["false"] * 3
+    assert all(r[4].startswith("GeometryError") and "not finite" in r[4]
+               for r in rows if r[3] == "false")
 
 
 def test_design_sweep_keeps_negative_gap_as_invalid_row(tmp_path):

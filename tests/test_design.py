@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cavityforge.design import (DesignPoint, _tune_air_gap, design_mirrors,
-                                evaluate_design, optimize_kappa, pareto_indices, sweep)
+                                evaluate_design, pareto_indices, sweep)
 from cavityforge.stack import EmitterSpec, MirrorSpec, assemble_cavity
 from cavityforge.tmm import ResonanceError, find_resonances
 
@@ -29,16 +29,6 @@ def test_tune_air_gap_is_exact_and_independent_of_start(mirrors, t_d, L, R_um):
         assert _tune_air_gap(base.with_air_gap(start), 637.0).L == asm.L
     peaks = [r["lambda_res"] for r in find_resonances(asm, (636.0, 638.0))]
     assert min(abs(lam - 637.0) for lam in peaks) < 1e-6
-
-
-def test_optimize_kappa_rule():
-    out = optimize_kappa(1.41e10, 2.0e6, 77.4e6)
-    assert out["kappa_rule"] == pytest.approx(2.82e10)
-    assert out["objective_at_numeric"] <= 1.0
-    # eta_zpl does not increase with kappa: its maximum is the lower bound
-    assert out["kappa_numeric"] == 1.41e10 / 50.0
-    with pytest.raises(ValueError):
-        optimize_kappa(-1.0, 2.0e6, 77.4e6)
 
 
 def test_evaluate_design_invalid_geometry_keeps_reason():

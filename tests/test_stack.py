@@ -9,6 +9,12 @@ def test_layer_rejects_negative_thickness():
         Layer("bad", 1.5 + 0j, -1.0)
 
 
+@pytest.mark.parametrize("thickness", [float("nan"), float("inf"), -float("inf")])
+def test_layer_rejects_non_finite_thickness(thickness):
+    with pytest.raises(GeometryError):
+        Layer("bad", 1.5 + 0j, thickness)
+
+
 def test_layer_rejects_subunity_index():
     with pytest.raises(GeometryError):
         Layer("bad", 0.9 + 0j, 100.0)
