@@ -151,7 +151,7 @@ def evaluate_design(p: DesignPoint, e: EmitterSpec,
     p.g_rad_s = g
 
     w = 2.0 * np.pi * CONSTANTS.c / (lam * 1e-9)
-    kappa = 2.0 * g      # kappa = 2 g everywhere
+    kappa = 2.0 * g      # the 2 g rule, at every design point
     p.kappa_applied_s = kappa
     p.Q_required = w / kappa
     F = purcell_zpl_theory(g, kappa, rates["gamma_bulk"])

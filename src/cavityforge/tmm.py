@@ -300,13 +300,9 @@ def field_profile(assembly: CavityAssembly, lam_res: float) -> FieldProfile:
     relative.  Rejects wavelengths more than one cold linewidth away from
     resonance, judged by the round-trip phase at lam_res.
     """
-    all_layers = assembly.layers()
-    layers = [ly for ly in all_layers if ly.thickness > 0]
+    layers = [ly for ly in assembly.layers() if ly.thickness > 0]
     n_in, n_out = assembly.n_in, assembly.n_out
-    L, lam = np.array([assembly.L]), np.array([lam_res])
-    _check_resonant(assembly, L, lam)
-    energy = [e for ly, e in zip(all_layers, _layer_energies(assembly, L, lam)[:, 0])
-              if ly.thickness > 0]
+    _check_resonant(assembly, np.array([assembly.L]), np.array([lam_res]))
 
     resp = stack_response(layers, n_in, n_out, lam_res)
     total = sum(ly.thickness for ly in layers)
@@ -315,7 +311,7 @@ def field_profile(assembly: CavityAssembly, lam_res: float) -> FieldProfile:
     # [E; H] at the top (exit) interface: transmitted forward wave only
     EH_top = np.array([resp.t, n_out * resp.t], dtype=complex)
 
-    zs, amps, eps = [], [], []
+    zs, amps, eps, energy = [], [], [], []
     # walk from the top layer downward; inside each layer
     # [E(z); H(z)] = M(thickness from z to layer top) @ [E; H]_layer_top
     EH_upper = EH_top
@@ -330,6 +326,7 @@ def field_profile(assembly: CavityAssembly, lam_res: float) -> FieldProfile:
         zs.append(edges[idx] + z_local)
         amps.append(np.abs(E))
         eps.append(np.full(npts, (ly.n ** 2).real))
+        energy.append(_layer_energy(ly.n, ly.thickness, lam_res, *EH_upper))
         EH_upper = np.array([E[0], H[0]])
 
     z = np.concatenate(zs[::-1])
@@ -340,7 +337,7 @@ def field_profile(assembly: CavityAssembly, lam_res: float) -> FieldProfile:
 
     anti, node = _extrema(z, amp)
     return FieldProfile(z, amp, eps_r, lam_res, edges,
-                        [ly.name for ly in layers], anti, node, np.array(energy))
+                        [ly.name for ly in layers], anti, node, np.array(energy[::-1]))
 
 
 def _check_resonant(assembly: CavityAssembly, L: np.ndarray, lam: np.ndarray) -> None:
@@ -349,47 +346,58 @@ def _check_resonant(assembly: CavityAssembly, L: np.ndarray, lam: np.ndarray) ->
     z = _round_trip(assembly, lam)
     miss = np.abs(np.angle(z * np.exp(4j * np.pi * L / lam)))
     width = _fwhm_phase(assembly, z)
-    for i in np.flatnonzero(miss > width)[:1]:
+    bad = np.flatnonzero(miss > width)
+    if bad.size:
+        i = bad[0]
         raise ResonanceError(
             f"{float(lam[i])} nm is off resonance: its round-trip phase misses "
             f"2 pi m by {miss[i]:.4g} rad, more than one linewidth ({width[i]:.4g} rad)")
 
 
+def _layer_energy(n: complex, d, lam, E, H):
+    """Exact int eps_r |E|^2 over a layer of index n and thickness d at
+    wavelength lam, from the fields [E, H] at its top face (scalars or
+    arrays of one shape).
+
+    At depth s below the top face, E(s) = A e^{iks} + B e^{-iks} with
+    A, B = (E - H / n) / 2 and k = 2 pi n / lam = k' + i kappa (Born & Wolf
+    1.6), so
+
+        int_0^d |E|^2 ds = |A|^2 (1 - e^{-2 kappa d}) / 2 kappa
+                           + |B|^2 (e^{2 kappa d} - 1) / 2 kappa
+                           + Re[A B* (e^{2ik'd} - 1) / (i k')],
+
+    where each of the first two terms is |.|^2 d for kappa = 0.
+    """
+    A, B = (E - H / n) / 2.0, (E + H / n) / 2.0
+    k = 2.0 * np.pi * n / lam
+    cross = (A * B.conj() * np.expm1(2j * k.real * d) / (1j * k.real)).real
+    if n.imag > 0:
+        two_kappa = 2.0 * k.imag
+        e = (np.abs(B) ** 2 * np.expm1(two_kappa * d)
+             - np.abs(A) ** 2 * np.expm1(-two_kappa * d)) / two_kappa
+    else:
+        e = (np.abs(A) ** 2 + np.abs(B) ** 2) * d
+    return (n * n).real * (e + cross)
+
+
 def _layer_energies(assembly: CavityAssembly, L: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Exact int eps_r |E|^2 dz of every layer of assembly.layers(), with the
-    air gap L thick, at wavelength lam: an array (layer, sample) over the
-    samples of the equal-shape arrays L and lam, in field_profile's units
-    (unit illumination from the bottom substrate, z in nm).
+    """_layer_energy of every layer of assembly.layers(), with the air gap
+    L thick, at wavelength lam: an array (layer, sample) over the samples
+    of the equal-shape arrays L and lam, in field_profile's units (unit
+    illumination from the bottom substrate, z in nm).
 
     Steps [E, H] down from the exit face, where a unit transmitted wave
-    has [1, n_out].  Below the top face of a layer of index n, at depth s,
-    E(s) = A e^{iks} + B e^{-iks} with A, B = (E_t -+ H_t / n) / 2 and
-    k = 2 pi n / lam = k' + i kappa (Born & Wolf 1.6), so over its
-    thickness d
-
-        int |E|^2 ds = |A|^2 (1 - e^{-2 kappa d}) / 2 kappa
-                       + |B|^2 (e^{2 kappa d} - 1) / 2 kappa
-                       + Re[A B* (e^{2ik'd} - 1) / (i k')],
-
-    where each of the first two terms is |.|^2 d for kappa = 0.  The
-    entry-face fields then give t, and every energy scales by |t|^2.
+    has [1, n_out]; the entry-face fields then give t, and every energy
+    scales by |t|^2.
     """
     E = np.ones(lam.shape, complex)
     H = assembly.n_out * E
     energies = []
     for ly in reversed(assembly.layers()):
-        n, d = ly.n, (L if ly is assembly.air_gap else ly.thickness)
-        A, B = (E - H / n) / 2.0, (E + H / n) / 2.0
-        k = 2.0 * np.pi * n / lam
-        cross = (A * B.conj() * np.expm1(2j * k.real * d) / (1j * k.real)).real
-        if n.imag > 0:
-            two_kappa = 2.0 * k.imag
-            e = (np.abs(B) ** 2 * np.expm1(two_kappa * d)
-                 - np.abs(A) ** 2 * np.expm1(-two_kappa * d)) / two_kappa
-        else:
-            e = (np.abs(A) ** 2 + np.abs(B) ** 2) * d
-        energies.append((n * n).real * (e + cross))
-        c, a, b, _ = _layer_entries(n, d, lam)
+        d = L if ly is assembly.air_gap else ly.thickness
+        energies.append(_layer_energy(ly.n, d, lam, E, H))
+        c, a, b, _ = _layer_entries(ly.n, d, lam)
         E, H = c * E + a * H, b * E + c * H
     t = 2.0 * assembly.n_in / (assembly.n_in * E + H)
     return np.array(energies[::-1]) * np.abs(t) ** 2
@@ -397,8 +405,8 @@ def _layer_energies(assembly: CavityAssembly, L: np.ndarray, lam: np.ndarray) ->
 
 def _diamond_fraction(names: Sequence[str], energy: np.ndarray):
     """Share of the energy (layer, ...) held by the layers named diamond."""
-    return energy[[i for i, nm_ in enumerate(names) if nm_ == "diamond"]].sum(axis=0) \
-        / energy.sum(axis=0)
+    diamond = [i for i, name in enumerate(names) if name == "diamond"]
+    return energy[diamond].sum(axis=0) / energy.sum(axis=0)
 
 
 def _extrema(z: np.ndarray, amp: np.ndarray):
@@ -454,8 +462,7 @@ def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
         branches.append(ModeBranch([BranchSample(L, float(lam), float(sl))
                                     for L, lam, sl in zip(Ls, lams, slopes)],
                                    order=int(m)))
-    if branches:
-        _classify_branches(assembly, branches)
+    _classify_branches(assembly, branches)
     branches.sort(key=lambda b: (b.samples[0].L, b.samples[0].lambda_res))
     return branches
 

@@ -293,9 +293,10 @@ def test_batched_energies_equal_one_sample_walk(paper_cavity):
     for i in range(L.size):
         one = _layer_energies(paper_cavity, L[i:i + 1], lam[i:i + 1])[:, 0]
         np.testing.assert_allclose(batched[:, i], one, rtol=1e-14, atol=0)
-    # field_profile carries the same energies, from the same walk
+    # field_profile integrates the same way along its own walk, which
+    # applies t at the exit face instead of at the end
     prof = field_profile(paper_cavity.with_air_gap(L[0]), lam[0])
-    np.testing.assert_allclose(prof.layer_energy, batched[:, 0], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(prof.layer_energy, batched[:, 0], rtol=1e-12, atol=0)
 
 
 @settings(max_examples=6, deadline=None)
