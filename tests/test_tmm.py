@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavityforge.stack import Layer, MirrorSpec, assemble_cavity
 from cavityforge import tmm
 from cavityforge.design import _tune_air_gap
 from cavityforge.gaussian import vacuum_field
+from cavityforge.stack import Layer, MirrorSpec, assemble_cavity
 from cavityforge.tmm import (ResonanceError, _layer_energies, characteristic_matrix,
                              diamond_energy_fraction, dispersion_map,
                              field_profile, find_resonances, stack_response,
