@@ -12,6 +12,7 @@ json.dump's shortest round-trip floats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -50,20 +51,21 @@ def _fmt(v) -> str:
     return format(f, ".9g")
 
 
-def _open_out(path: Optional[str]):
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """The stream an output goes to: stdout for None or '-', else the file
+    at path, closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
 
 
 def _write_json(doc: dict, path: Optional[str]):
-    fh, close = _open_out(path)
-    try:
+    with _output(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=True)
         fh.write("\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def _load_run_config(args) -> RunConfig:
@@ -79,8 +81,11 @@ def _load_run_config(args) -> RunConfig:
 # ---------------------------------------------------------------- dispersion
 
 def cmd_dispersion(args) -> int:
-    if not (args.l_step_nm > 0 and args.scan_step_nm > 0):
-        raise ConfigError("--l-step-nm and --scan-step-nm must be positive")
+    for name in ("l_min_um", "l_max_um", "l_step_nm", "lambda_min_nm", "lambda_max_nm",
+                 "scan_step_nm"):
+        v = getattr(args, name)
+        if not (np.isfinite(v) and v > 0):
+            raise ConfigError(f"--{name.replace('_', '-')} must be positive and finite, got {v}")
     if args.max_transverse_order < 0:
         raise ConfigError("--max-transverse-order must not be negative")
     if not args.lambda_min_nm < args.lambda_max_nm:
@@ -114,14 +119,10 @@ def cmd_dispersion(args) -> int:
                                  s.slope, br.character, k))
     rows.sort(key=lambda r: (r[0], r[1], r[5]))
 
-    fh, close = _open_out(args.output)
-    try:
+    with _output(args.output) as fh:
         fh.write("L_nm,branch_id,lambda_nm,dlambda_dL,character,transverse_order\n")
         for L, bid, lam, slope, char, order in rows:
             fh.write(f"{_fmt(L)},{bid},{_fmt(lam)},{_fmt(slope)},{char},{order}\n")
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
@@ -301,6 +302,8 @@ def cmd_design(args) -> int:
     sweep_cfg = cfg.sweep if cfg else {}
     R_um = float(args.r_um if args.r_um is not None
                  else sweep_cfg.get("R_um", design_mod.DESIGN_RADIUS_UM))
+    if not (np.isfinite(R_um) and R_um > 0):
+        raise ConfigError(f"R_um must be positive and finite, got {R_um}")
 
     if args.single:
         spec = _parse_single(args.single)
@@ -329,15 +332,11 @@ def cmd_design(args) -> int:
                                   list(terminations), emitter, R_um=R_um)
         points, pareto, provenance = result.points, result.pareto, result.provenance
 
-    fh, close = _open_out(args.output)
-    try:
+    with _output(args.output) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_DESIGN_COLUMNS)
         for p in points:
             writer.writerow(_design_row(p))
-    finally:
-        if close:
-            fh.close()
 
     if args.pareto_json:
         _write_json({
@@ -371,14 +370,10 @@ def cmd_synth(args) -> int:
         s = XYSeries(h.t_ns, h.counts, x_unit="t_ns", y_unit="counts")
     else:
         s = synthetic.g2_histogram(poisson=args.noise_frac > 0, seed=args.seed)
-    fh, close = _open_out(args.output)
-    try:
+    with _output(args.output) as fh:
         fh.write(f"{s.x_unit},{s.y_unit}\n")
         for xi, yi in zip(s.x, s.y):
             fh.write(f"{_fmt(xi)},{_fmt(yi)}\n")
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 

@@ -127,6 +127,8 @@ class DecayHistogram:
             raise ValueError("bin width must be uniform")
         if np.any(c < 0):
             raise ValueError("counts must be non-negative")
+        if not (np.isfinite(self.irf_sigma_ns) and self.irf_sigma_ns >= 0):
+            raise ValueError(f"irf_sigma_ns must be finite and >= 0, got {self.irf_sigma_ns}")
 
 
 def _jacobian(fun: Callable, x: np.ndarray, f: np.ndarray,

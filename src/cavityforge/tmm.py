@@ -7,11 +7,14 @@ characteristic matrix is held as the tuple of its entries
 (m00, m01, m10, m11), each a scalar or an array over wavelength; _mul is
 the one product and _rt the one reflection/transmission formula.
 
-The energy of the standing wave in each layer, int eps_r |E|^2 dz, is
-exact: _layer_energies integrates E = A e^{iks} + B e^{-iks} in closed
-form layer by layer, for many (air gap, wavelength) samples at once.
-Branch character in dispersion_map and the integrals behind
-diamond_energy_fraction and the vacuum field all come from it.
+The standing wave comes from one walk, _walk: it steps [E, H] down the
+stack from a unit transmitted wave at the exit face, for many (air gap,
+wavelength) samples at once, and scales by the amplitude transmission t.
+field_profile samples |E| inside each layer from the fields at its top
+face; _layer_energies integrates E = A e^{iks} + B e^{-iks} over each
+layer in closed form, so int eps_r |E|^2 dz is exact.  Branch character
+in dispersion_map and the integrals behind diamond_energy_fraction and
+the vacuum field all come from those energies.
 """
 
 from __future__ import annotations
@@ -300,44 +303,30 @@ def field_profile(assembly: CavityAssembly, lam_res: float) -> FieldProfile:
     relative.  Rejects wavelengths more than one cold linewidth away from
     resonance, judged by the round-trip phase at lam_res.
     """
-    layers = [ly for ly in assembly.layers() if ly.thickness > 0]
-    n_in, n_out = assembly.n_in, assembly.n_out
-    _check_resonant(assembly, np.array([assembly.L]), np.array([lam_res]))
-
-    resp = stack_response(layers, n_in, n_out, lam_res)
-    total = sum(ly.thickness for ly in layers)
-    edges = np.concatenate([[0.0], np.cumsum([ly.thickness for ly in layers])])
-
-    # [E; H] at the top (exit) interface: transmitted forward wave only
-    EH_top = np.array([resp.t, n_out * resp.t], dtype=complex)
+    # a one-sample array, so that the energies round as _layer_energies' do
+    lam = np.array([lam_res])
+    _check_resonant(assembly, np.array([assembly.L]), lam)
+    faces, t = _walk(assembly, assembly.L, lam)
+    faces = [f for f in faces if f[1] > 0]
+    edges = np.concatenate([[0.0], np.cumsum([d for _, d, _, _ in faces])])
 
     zs, amps, eps, energy = [], [], [], []
-    # walk from the top layer downward; inside each layer
-    # [E(z); H(z)] = M(thickness from z to layer top) @ [E; H]_layer_top
-    EH_upper = EH_top
-    for idx in range(len(layers) - 1, -1, -1):
-        ly = layers[idx]
-        dz = min(lam_res / (20.0 * ly.n.real), total / _MIN_SAMPLES)
-        npts = max(int(np.ceil(ly.thickness / dz)) + 1, 8)
-        z_local = np.linspace(0.0, ly.thickness, npts)  # from layer bottom
-        c, a, b, _ = _layer_entries(ly.n, ly.thickness - z_local, lam_res)
-        E = c * EH_upper[0] + a * EH_upper[1]
-        H = b * EH_upper[0] + c * EH_upper[1]
-        zs.append(edges[idx] + z_local)
-        amps.append(np.abs(E))
-        eps.append(np.full(npts, (ly.n ** 2).real))
-        energy.append(_layer_energy(ly.n, ly.thickness, lam_res, *EH_upper))
-        EH_upper = np.array([E[0], H[0]])
+    # inside a layer, [E(z); H(z)] = M(distance from z up to the top face) [E; H]_top
+    for (ly, d, E, H), z0 in zip(faces, edges):
+        dz = min(lam_res / (20.0 * ly.n.real), edges[-1] / _MIN_SAMPLES)
+        z_local = np.linspace(0.0, d, max(int(np.ceil(d / dz)) + 1, 8))
+        c, a, _, _ = _layer_entries(ly.n, d - z_local, lam_res)
+        zs.append(z0 + z_local)
+        amps.append(np.abs(t * (c * E + a * H)))
+        eps.append(np.full(z_local.size, (ly.n ** 2).real))
+        energy.append(_layer_energy(ly.n, d, lam, E, H))
 
-    z = np.concatenate(zs[::-1])
-    amp = np.concatenate(amps[::-1])
-    eps_r = np.concatenate(eps[::-1])
-    order = np.argsort(z, kind="stable")
-    z, amp, eps_r = z[order], amp[order], eps_r[order]
-
+    # bottom first, so z is already in order; interfaces carry two samples
+    z, amp = np.concatenate(zs), np.concatenate(amps)
     anti, node = _extrema(z, amp)
-    return FieldProfile(z, amp, eps_r, lam_res, edges,
-                        [ly.name for ly in layers], anti, node, np.array(energy[::-1]))
+    return FieldProfile(z, amp, np.concatenate(eps), lam_res, edges,
+                        [ly.name for ly, _, _, _ in faces], anti, node,
+                        (np.array(energy) * np.abs(t) ** 2)[:, 0])
 
 
 def _check_resonant(assembly: CavityAssembly, L: np.ndarray, lam: np.ndarray) -> None:
@@ -381,26 +370,36 @@ def _layer_energy(n: complex, d, lam, E, H):
     return (n * n).real * (e + cross)
 
 
+def _walk(assembly: CavityAssembly, L, lam):
+    """[E, H] stepped down assembly.layers() from a unit transmitted wave,
+    [1, n_out] at the exit face, with the air gap L thick, at wavelength
+    lam (scalars or equal-shape arrays).
+
+    Returns (faces, t): (layer, thickness, E, H) at the top face of every
+    layer, bottom first, and t = 2 n_in / (n_in E + H) from the entry-face
+    fields.  Unit illumination from the bottom substrate gives t times
+    these fields.
+    """
+    E = np.ones(np.shape(lam), complex)
+    H = assembly.n_out * E
+    faces = []
+    for ly in reversed(assembly.layers()):
+        d = L if ly is assembly.air_gap else ly.thickness
+        faces.append((ly, d, E, H))
+        c, a, b, _ = _layer_entries(ly.n, d, lam)
+        E, H = c * E + a * H, b * E + c * H
+    return faces[::-1], 2.0 * assembly.n_in / (assembly.n_in * E + H)
+
+
 def _layer_energies(assembly: CavityAssembly, L: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """_layer_energy of every layer of assembly.layers(), with the air gap
     L thick, at wavelength lam: an array (layer, sample) over the samples
     of the equal-shape arrays L and lam, in field_profile's units (unit
     illumination from the bottom substrate, z in nm).
-
-    Steps [E, H] down from the exit face, where a unit transmitted wave
-    has [1, n_out]; the entry-face fields then give t, and every energy
-    scales by |t|^2.
     """
-    E = np.ones(lam.shape, complex)
-    H = assembly.n_out * E
-    energies = []
-    for ly in reversed(assembly.layers()):
-        d = L if ly is assembly.air_gap else ly.thickness
-        energies.append(_layer_energy(ly.n, d, lam, E, H))
-        c, a, b, _ = _layer_entries(ly.n, d, lam)
-        E, H = c * E + a * H, b * E + c * H
-    t = 2.0 * assembly.n_in / (assembly.n_in * E + H)
-    return np.array(energies[::-1]) * np.abs(t) ** 2
+    faces, t = _walk(assembly, L, lam)
+    return np.array([_layer_energy(ly.n, d, lam, E, H)
+                     for ly, d, E, H in faces]) * np.abs(t) ** 2
 
 
 def _diamond_fraction(names: Sequence[str], energy: np.ndarray):
@@ -410,17 +409,14 @@ def _diamond_fraction(names: Sequence[str], energy: np.ndarray):
 
 
 def _extrema(z: np.ndarray, amp: np.ndarray):
+    """Antinodes (nodes) of the sampled amp(z): samples >= (<=) the one
+    below and > (<) the one above."""
     # an interface carries one sample from each side, with equal |E|;
     # keep one, or a rise (fall) through it reads as a node (antinode)
     keep = np.concatenate([[True], np.diff(z) > 0])
-    z, amp = z[keep], amp[keep]
-    antinodes, nodes = [], []
-    for i in range(1, z.size - 1):
-        if amp[i] >= amp[i - 1] and amp[i] > amp[i + 1]:
-            antinodes.append(z[i])
-        if amp[i] <= amp[i - 1] and amp[i] < amp[i + 1]:
-            nodes.append(z[i])
-    return np.array(antinodes), np.array(nodes)
+    z, amp = z[keep][1:-1], amp[keep]
+    below, mid, above = amp[:-2], amp[1:-1], amp[2:]
+    return z[(mid >= below) & (mid > above)], z[(mid <= below) & (mid < above)]
 
 
 def diamond_energy_fraction(profile: FieldProfile) -> float:

@@ -119,6 +119,15 @@ def test_fit_exhausted_budget_exits_4(tmp_path, monkeypatch):
     assert doc["iterations"] == 1   # the initial evaluation spends the budget
 
 
+@pytest.mark.parametrize("sigma", ["-0.2", "nan", "inf"])
+def test_fit_lifetime_bad_irf_sigma_exits_2(sigma, tmp_path, capsys):
+    csv = tmp_path / "lt.csv"
+    assert _run(["synth", "lifetime", "--seed", "4", "-o", str(csv)]) == 0
+    assert _run(["fit", "lifetime", str(csv), "--irf-sigma-ns", sigma,
+                 "-o", str(tmp_path / "lt.json")]) == 2
+    assert "irf_sigma_ns must be finite and >= 0" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- dispersion
 
 
@@ -157,6 +166,22 @@ def test_dispersion_needs_a_config():
 def test_dispersion_bad_steps_and_window_exit_2(flags, message, capsys):
     assert _run(["dispersion", "--paper-baseline", *flags]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--l-min-um", "-0.3", "--l-max-um", "0.1"], "--l-min-um must be positive and finite, got -0.3"),
+    (["--l-min-um", "0"], "--l-min-um must be positive and finite, got 0.0"),
+    (["--l-min-um", "nan"], "--l-min-um must be positive and finite, got nan"),
+    (["--l-max-um", "nan"], "--l-max-um must be positive and finite, got nan"),
+    (["--l-max-um", "inf"], "--l-max-um must be positive and finite, got inf"),
+    (["--l-step-nm", "inf"], "--l-step-nm must be positive and finite, got inf"),
+    (["--scan-step-nm", "inf"], "--scan-step-nm must be positive and finite, got inf"),
+    (["--lambda-max-nm", "inf"], "--lambda-max-nm must be positive and finite, got inf"),
+])
+def test_dispersion_non_finite_or_non_positive_value_exits_2(flags, message, tmp_path, capsys):
+    assert _run(["dispersion", "--paper-baseline", *flags, "-o", str(tmp_path / "x.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_config_and_baseline_are_exclusive(tmp_path):
@@ -310,6 +335,16 @@ def test_design_sweep_keeps_negative_gap_as_invalid_row(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [r[3] for r in rows] == ["false", "true"]
     assert rows[0][4].startswith("GeometryError")
+
+
+@pytest.mark.parametrize("grid", [
+    ["--single", "t_d_nm=198", "L_nm=478"],
+    ["--t-d-nm", "198", "--l-nm", "478", "--terminations", "node"],
+])
+@pytest.mark.parametrize("r_um", ["nan", "inf", "0", "-5.5"])
+def test_design_bad_radius_exits_2(grid, r_um, tmp_path, capsys):
+    assert _run(["design", *grid, "--r-um", r_um, "-o", str(tmp_path / "d.csv")]) == 2
+    assert f"R_um must be positive and finite, got {float(r_um)}" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- synth

@@ -190,6 +190,13 @@ def test_lifetime_pinned_tau_is_not_converged():
     assert not out.converged
 
 
+@pytest.mark.parametrize("sigma", [-0.2, np.nan, np.inf])
+def test_decay_histogram_rejects_bad_irf_sigma(sigma):
+    t = np.arange(0.0, 20.0, 0.05)
+    with pytest.raises(ValueError, match="irf_sigma_ns"):
+        DecayHistogram(t, np.ones_like(t), irf_sigma_ns=sigma)
+
+
 def test_nonfinite_data_raises():
     x = np.linspace(-1, 1, 51)
     y = np.ones_like(x)

@@ -293,10 +293,77 @@ def test_batched_energies_equal_one_sample_walk(paper_cavity):
     for i in range(L.size):
         one = _layer_energies(paper_cavity, L[i:i + 1], lam[i:i + 1])[:, 0]
         np.testing.assert_allclose(batched[:, i], one, rtol=1e-14, atol=0)
-    # field_profile integrates the same way along its own walk, which
-    # applies t at the exit face instead of at the end
+    # field_profile reads its energies from the same walk
     prof = field_profile(paper_cavity.with_air_gap(L[0]), lam[0])
-    np.testing.assert_allclose(prof.layer_energy, batched[:, 0], rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(prof.layer_energy, batched[:, 0])
+
+
+def _reference_amplitude(asm, lam, prof):
+    # reference: |E| at each of the profile's samples from stack_response's
+    # t and the 2x2 matrices walked down from the exit face
+    resp = stack_response(asm.layers(), asm.n_in, asm.n_out, lam)
+    EH = np.array([resp.t, asm.n_out * resp.t])
+    tops = []
+    for ly in reversed(asm.layers()):
+        tops.append(EH)
+        EH = characteristic_matrix(ly, lam) @ EH
+    tops = np.array(tops[::-1])
+    edges = prof.layer_edges
+    i = np.clip(np.searchsorted(edges, prof.z, side="right") - 1, 0, len(tops) - 1)
+    n = np.array([ly.n for ly in asm.layers()])[i]
+    delta = 2.0 * np.pi * n * (edges[i + 1] - prof.z) / lam   # depth below the top face
+    return np.abs(np.cos(delta) * tops[i, 0] - 1j * np.sin(delta) / n * tops[i, 1])
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(min_value=50.0, max_value=1000.0),
+       st.floats(min_value=500.0, max_value=4000.0),
+       st.sampled_from([0.0, 2e-3]))
+def test_field_profile_matches_reference_walk(t_d, L, kappa_d):
+    m_bot = MirrorSpec(pairs=15, center_wavelength=637.0)
+    m_top = MirrorSpec(pairs=14, center_wavelength=637.0)
+    lam = 637.0
+    asm = _tune_air_gap(assemble_cavity(m_bot, t_d, L, m_top, R_um=16.0,
+                                        n_d=2.41 + kappa_d * 1j), lam)
+    prof = field_profile(asm, lam)
+    ref = _reference_amplitude(asm, lam, prof)
+    # 1e-12 of the sample, or of the peak near a node, where |E| is itself
+    # a cancellation and both walks carry rounding of the peak's size
+    np.testing.assert_allclose(prof.amplitude, ref, rtol=1e-12, atol=1e-12 * ref.max())
+
+
+def _extrema_loop(z, amp):
+    # the sample-by-sample scan that tmm._extrema vectorises
+    keep = np.concatenate([[True], np.diff(z) > 0])
+    z, amp = z[keep], amp[keep]
+    antinodes, nodes = [], []
+    for i in range(1, z.size - 1):
+        if amp[i] >= amp[i - 1] and amp[i] > amp[i + 1]:
+            antinodes.append(z[i])
+        if amp[i] <= amp[i - 1] and amp[i] < amp[i + 1]:
+            nodes.append(z[i])
+    return np.array(antinodes), np.array(nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)), min_size=1, max_size=40))
+def test_extrema_equal_the_loop(steps):
+    # three amplitude levels make plateaus; each extra copy repeats a
+    # sample's z and |E|, as at an interface
+    z, amp = [], []
+    for pos, (level, extra) in enumerate(steps):
+        z += [float(pos)] * (extra + 1)
+        amp += [float(level)] * (extra + 1)
+    z, amp = np.array(z), np.array(amp)
+    for got, want in zip(tmm._extrema(z, amp), _extrema_loop(z, amp)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_extrema_equal_the_loop_on_a_profile(baseline_resonant):
+    prof = field_profile(*baseline_resonant)
+    for got, want in zip(tmm._extrema(prof.z, prof.amplitude),
+                         _extrema_loop(prof.z, prof.amplitude)):
+        np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=6, deadline=None)
