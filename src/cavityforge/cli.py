@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import sys
 from typing import Optional
@@ -41,6 +42,8 @@ _UNITLESS_COLUMNS = {"counts", "coincidences"}
 
 
 def _fmt(v) -> str:
+    if isinstance(v, str):
+        return v
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
@@ -137,16 +140,16 @@ def cmd_report(args) -> int:
     m = cfg.measured
     rates = None
     if "gamma_on_per_s" in m and "gamma_off_per_s" in m:
-        rates = RatesMeasurement(float(m["gamma_on_per_s"]), float(m["gamma_off_per_s"]),
+        rates = RatesMeasurement(m["gamma_on_per_s"], m["gamma_off_per_s"],
                                  emitter_rates(e)["gamma_bulk"],
-                                 float(m.get("dw_assumed", e.debye_waller)))
+                                 m.get("dw_assumed", e.debye_waller))
     rep = coupling_report(
         gamma_bulk=emitter_rates(e)["gamma_bulk"],
         lam_nm=lam,
         n_host=e.host_index,
         E_vac=vol.E_vac_max_diamond,
-        Gamma_L_pm=float(m.get("Gamma_L_pm", 60.6)),
-        dlambda_dL=float(m.get("dlambda_dL", 0.18)),
+        Gamma_L_pm=m.get("Gamma_L_pm", 60.6),
+        dlambda_dL=m.get("dlambda_dL", 0.18),
         xi=e.dipole_orientation_factor,
         rates=rates,
     )
@@ -248,34 +251,16 @@ def cmd_fit(args) -> int:
 
 # -------------------------------------------------------------------- design
 
-_DESIGN_COLUMNS = (
-    "t_d_nm", "L_nm", "termination", "valid", "reason", "L_tuned_nm",
-    "lambda_res_nm", "E_vac_diamond_V_per_m", "E_vac_global_V_per_m",
-    "g_rad_per_s", "kappa_per_s", "F_P_zpl", "Q_required", "eta_zpl",
-    "transform_limit_hz", "termination_consistent", "interface_field_ratio",
-)
+# the DesignPoint fields each --pareto-json entry repeats
+_PARETO_FIELDS = ("t_d_nm", "L_nm", "termination", "eta_zpl", "Q_required", "F_P_zpl",
+                  "transform_limit_hz")
 
 
-def _design_row(p) -> list:
-    return [
-        _fmt(p.t_d_nm), _fmt(p.L_nm), p.termination, _fmt(p.valid), p.reason,
-        _fmt(p.L_tuned_nm), _fmt(p.lambda_res_nm), _fmt(p.E_vac_diamond),
-        _fmt(p.E_vac_global), _fmt(p.g_rad_s), _fmt(p.kappa_applied_s),
-        _fmt(p.F_P_zpl), _fmt(p.Q_required), _fmt(p.eta_zpl),
-        _fmt(p.transform_limit_hz), _fmt(p.termination_consistent),
-        _fmt(p.interface_field_ratio),
-    ]
-
-
-def _infer_termination(t_d_nm: float, n_d: float, lam_nm: float) -> str:
-    """Nearest quarter-wave count of the membrane: even -> antinode at the
-    diamond-air interface, odd -> node."""
-    quarters = round(n_d * t_d_nm / (lam_nm / 4.0))
-    return "antinode" if quarters % 2 == 0 else "node"
-
-
-def _parse_single(tokens: list) -> dict:
-    """key=value tokens of --single; t_d_nm and L_nm as finite floats."""
+def _parse_single(tokens: list, emitter) -> tuple:
+    """--single's key=value tokens as the one-point grid ([t_d_nm], [L_nm],
+    [termination]), t_d_nm and L_nm finite floats.  Without a termination,
+    the membrane's nearest quarter-wave count sets it: even -> antinode at
+    the diamond-air interface, odd -> node."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
@@ -293,65 +278,50 @@ def _parse_single(tokens: list) -> dict:
             raise ConfigError(f"--single: {req} must be a number, got {out[req]!r}") from None
         if not np.isfinite(out[req]):
             raise ConfigError(f"--single: {req} must be finite, got {out[req]}")
-    return out
+    term = out.get("termination")
+    if term is None:
+        quarters = round(emitter.host_index * out["t_d_nm"] / (emitter.zpl_wavelength / 4.0))
+        term = "antinode" if quarters % 2 == 0 else "node"
+    elif term not in design_mod.TERMINATIONS:
+        raise ConfigError(f"--single: termination must be node or antinode, got {term!r}")
+    return [out["t_d_nm"]], [out["L_nm"]], [term]
 
 
 def cmd_design(args) -> int:
+    """Write the design table; --single is a one-point sweep."""
     cfg = _load_run_config(args) if (args.config or args.paper_baseline) else None
     emitter = cfg.emitter if cfg else parse_config(paper_baseline_dict()).emitter
     sweep_cfg = cfg.sweep if cfg else {}
-    R_um = float(args.r_um if args.r_um is not None
-                 else sweep_cfg.get("R_um", design_mod.DESIGN_RADIUS_UM))
+    R_um = args.r_um if args.r_um is not None else sweep_cfg.get(
+        "R_um", design_mod.DESIGN_RADIUS_UM)
     if not (np.isfinite(R_um) and R_um > 0):
         raise ConfigError(f"R_um must be positive and finite, got {R_um}")
 
     if args.single:
-        spec = _parse_single(args.single)
-        t_d, L = spec["t_d_nm"], spec["L_nm"]
-        term = spec.get("termination") or _infer_termination(
-            t_d, emitter.host_index, emitter.zpl_wavelength)
-        point = design_mod.evaluate_design(
-            design_mod.DesignPoint(t_d_nm=t_d, L_nm=L, termination=term),
-            emitter, R_um=R_um)
-        points, pareto = [point], ([0] if point.valid else [])
-        if not point.valid:
-            print(f"design point invalid: {point.reason}", file=sys.stderr)
-            return EXIT_PHYSICS
-        provenance = {"single": {"t_d_nm": t_d, "L_nm": L, "termination": term,
-                                 "R_um": R_um}}
+        t_d_values, L_values, terminations = _parse_single(args.single, emitter)
     else:
         t_d_values = args.t_d_nm or sweep_cfg.get("t_d_nm")
         L_values = args.l_nm or sweep_cfg.get("L_nm")
-        terminations = args.terminations or sweep_cfg.get("terminations",
-                                                          ["node", "antinode"])
+        terminations = args.terminations or sweep_cfg.get(
+            "terminations", list(design_mod.TERMINATIONS))
         if not t_d_values or not L_values:
             raise ConfigError("sweep needs --t-d-nm and --l-nm grids "
                               "(or a config 'sweep' block)")
-        result = design_mod.sweep([float(v) for v in t_d_values],
-                                  [float(v) for v in L_values],
-                                  list(terminations), emitter, R_um=R_um)
-        points, pareto, provenance = result.points, result.pareto, result.provenance
+    result = design_mod.sweep(t_d_values, L_values, terminations, emitter, R_um=R_um)
 
+    columns = [f.name for f in dataclasses.fields(design_mod.DesignPoint)]
     with _output(args.output) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_DESIGN_COLUMNS)
-        for p in points:
-            writer.writerow(_design_row(p))
+        writer.writerow(columns)
+        for p in result.points:
+            writer.writerow([_fmt(getattr(p, c)) for c in columns])
 
     if args.pareto_json:
         _write_json({
-            "provenance": provenance,
-            "pareto": [
-                {"index": i,
-                 "t_d_nm": points[i].t_d_nm,
-                 "L_nm": points[i].L_nm,
-                 "termination": points[i].termination,
-                 "eta_zpl": points[i].eta_zpl,
-                 "Q_required": points[i].Q_required,
-                 "F_P_zpl": points[i].F_P_zpl,
-                 "transform_limit_hz": points[i].transform_limit_hz}
-                for i in pareto
-            ],
+            "provenance": result.provenance,
+            "pareto": [{"index": i,
+                        **{k: getattr(result.points[i], k) for k in _PARETO_FIELDS}}
+                       for i in result.pareto],
         }, args.pareto_json)
     return EXIT_OK
 
@@ -430,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-d-nm", type=float, nargs="+", default=None)
     p.add_argument("--l-nm", type=float, nargs="+", default=None)
     p.add_argument("--terminations", nargs="+", default=None,
-                   choices=["node", "antinode"])
+                   choices=design_mod.TERMINATIONS)
     p.add_argument("--r-um", type=float, default=None)
     p.add_argument("--pareto-json", default=None,
                    help="also write the non-dominated set as JSON")

@@ -8,8 +8,10 @@ is available as a built-in.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
+from .design import TERMINATIONS
 from .stack import CavityAssembly, EmitterSpec, GeometryError, MirrorSpec, assemble_cavity
 
 
@@ -25,8 +27,30 @@ _EMITTER_KEYS = {"zpl_wavelength_nm", "bulk_lifetime_ns", "host_index",
                  "debye_waller", "depth_nm", "dipole_orientation_factor"}
 _MEASURED_KEYS = {"Gamma_L_pm", "dlambda_dL", "gamma_on_per_s",
                   "gamma_off_per_s", "dw_assumed"}
-_SWEEP_KEYS = {"t_d_nm", "L_nm", "terminations", "R_um"}
 _TOP_KEYS = {"cavity", "emitter", "measured", "sweep"}
+
+
+def _finite(v, where: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"{where} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _numbers(v, where: str) -> list:
+    if not (isinstance(v, list) and v):
+        raise ConfigError(f"{where} must be a non-empty list of numbers, got {v!r}")
+    return [_finite(x, f"{where}[{i}]") for i, x in enumerate(v)]
+
+
+def _terminations(v, where: str) -> list:
+    if not (isinstance(v, list) and v and all(t in TERMINATIONS for t in v)):
+        raise ConfigError(f"{where} must be a non-empty list of node and antinode, got {v!r}")
+    return v
+
+
+# the check, and the conversion, each key of the sweep block passes
+_SWEEP_CHECKS = {"t_d_nm": _numbers, "L_nm": _numbers, "terminations": _terminations,
+                 "R_um": _finite}
 
 
 def _check_keys(d: dict, allowed: set, where: str):
@@ -142,11 +166,13 @@ def parse_config(doc: dict) -> RunConfig:
     if assembly.t_d > 0 and not (0 < emitter.depth_below_surface <= assembly.t_d):
         raise ConfigError("emitter: depth_nm must lie within the diamond thickness")
 
-    measured = dict(doc.get("measured", {}))
+    measured = doc.get("measured", {})
     _check_keys(measured, _MEASURED_KEYS, "measured")
-    sweep = dict(doc.get("sweep", {}))
-    _check_keys(sweep, _SWEEP_KEYS, "sweep")
-    return RunConfig(assembly, emitter, measured, sweep)
+    sweep = doc.get("sweep", {})
+    _check_keys(sweep, set(_SWEEP_CHECKS), "sweep")
+    return RunConfig(assembly, emitter,
+                     {k: _finite(v, f"measured.{k}") for k, v in measured.items()},
+                     {k: _SWEEP_CHECKS[k](v, f"sweep.{k}") for k, v in sweep.items()})
 
 
 def load_config(path: str) -> RunConfig:

@@ -24,6 +24,8 @@ ETA_DEBYE_WALLER = 0.020
 # improved-mirror geometry for proposed cavities (shallow ablated dimple)
 DESIGN_RADIUS_UM = 5.5
 
+# what a design asks of the field at the diamond-air interface
+TERMINATIONS = ("node", "antinode")
 
 # air gaps farther than this from the nominal one are not tuned to
 SEARCH_HALFWIDTH_NM = 170.0
@@ -42,22 +44,22 @@ def design_mirrors(center_wavelength: float = 637.0):
 class DesignPoint:
     t_d_nm: float
     L_nm: float
-    termination: str                     # "node" | "antinode" at diamond-air interface
+    termination: str                     # one of TERMINATIONS
     # derived
     valid: bool = False
     reason: str = ""
     L_tuned_nm: float = np.nan
     lambda_res_nm: float = np.nan
-    E_vac_diamond: float = np.nan        # V/m
-    E_vac_global: float = np.nan
-    g_rad_s: float = np.nan
-    kappa_applied_s: float = np.nan
+    E_vac_diamond_V_per_m: float = np.nan
+    E_vac_global_V_per_m: float = np.nan
+    g_rad_per_s: float = np.nan
+    kappa_per_s: float = np.nan
     F_P_zpl: float = np.nan
     Q_required: float = np.nan
     eta_zpl: float = np.nan
     transform_limit_hz: float = np.nan
-    termination_consistent: bool = False
-    interface_field_ratio: float = np.nan
+    termination_consistent: bool = False  # a node (antinode) within lambda/40 of the interface
+    interface_field_ratio: float = np.nan  # |E| there over the sampled maximum of |E|
 
 
 @dataclass
@@ -107,62 +109,69 @@ def cavity_mode(assembly: CavityAssembly, lam: float):
     return asm, prof, mode, vacuum_field(prof, effective_area(mode))
 
 
-def evaluate_design(p: DesignPoint, e: EmitterSpec,
-                    R_um: float = DESIGN_RADIUS_UM) -> DesignPoint:
-    """Complete a design point: field, vacuum field, g, kappa, Purcell, eta.
+def _near_interface(asm: CavityAssembly, E: complex, H: complex, lam: float) -> dict:
+    """Whether a node, and an antinode, of |E| lies within lam/40 of the
+    diamond-air interface, whose fields are E and H, in the (lossless)
+    diamond below it or air gap above it.  At depth s below the interface
+    a layer of index n carries E(s) = A e^{iks} + B e^{-iks} with
+    A, B = (E -+ H / n) / 2, so |E(s)|^2 peaks where 2 k s + arg(A B*) is a
+    multiple of 2 pi and dips half a period off."""
+    near = dict.fromkeys(TERMINATIONS, False)
+    for n, side, depth in ((asm.diamond.n.real, 1.0, asm.t_d),
+                           (asm.air_gap.n.real, -1.0, asm.L)):
+        phase = np.angle((E - H / n) * np.conj(E + H / n))
+        for term, target in (("node", np.pi), ("antinode", 0.0)):
+            # distance from the interface to the nearest mark on this side
+            dist = np.mod(side * (target - phase), 2.0 * np.pi) * lam / (4.0 * np.pi * n)
+            near[term] |= bool(dist <= depth and dist < lam / 40.0)
+    return near
 
-    The cavity uses design_mirrors at the emitter's ZPL and the waist of
-    the mirror geometry.  kappa is 2 g at every point (eta_zpl alone only
-    falls as kappa grows, so it sets no optimum of its own); eta_zpl is
-    scored at ETA_DEBYE_WALLER and the transform limit at the emitter's
-    own debye_waller.  A geometry without a resonant mode (no
-    resonance, unstable, no diamond) returns invalid with the reason.
+
+def evaluate_design(t_d_nm: float, L_nm: float, terminations, e: EmitterSpec,
+                    R_um: float = DESIGN_RADIUS_UM) -> list[DesignPoint]:
+    """The design points of one membrane and air gap, one per termination,
+    from one solve: field, vacuum field, g, kappa, Purcell, eta.
+
+    The points differ only in termination and termination_consistent.  The
+    cavity uses design_mirrors at the emitter's ZPL and the waist of the
+    mirror geometry.  kappa is 2 g at every point (eta_zpl alone only falls
+    as kappa grows, so it sets no optimum of its own); eta_zpl is scored at
+    ETA_DEBYE_WALLER and the transform limit at the emitter's own
+    debye_waller.  A geometry without a resonant mode (no resonance,
+    unstable, no diamond) gives invalid points with the reason.  An
+    unknown termination raises ValueError before any solve.
     """
-    p = replace(p)
+    for term in terminations:
+        if term not in TERMINATIONS:
+            raise ValueError(f"unknown termination {term!r}")
     lam = e.zpl_wavelength
     bottom, top = design_mirrors(lam)
     try:
         asm, prof, _, rep = cavity_mode(
-            assemble_cavity(bottom, p.t_d_nm, p.L_nm, top, R_um), lam)
+            assemble_cavity(bottom, t_d_nm, L_nm, top, R_um), lam)
     except (ResonanceError, GeometryError) as exc:
-        p.valid = False
-        p.reason = f"{type(exc).__name__}: {exc}"
-        return p
-
-    p.L_tuned_nm = asm.L
-    p.lambda_res_nm = lam
-
-    iface = float(prof.layer_edges[prof.layer_names.index("diamond") + 1])
-    amp_iface = float(np.interp(iface, prof.z, prof.amplitude))
-    p.interface_field_ratio = amp_iface / float(prof.amplitude.max())
-    # termination check: nearest node (antinode) within lambda/40 of the interface
-    marks = {"node": prof.nodes, "antinode": prof.antinodes}.get(p.termination)
-    if marks is None:
-        raise ValueError(f"unknown termination {p.termination!r}")
-    p.termination_consistent = bool(marks.size
-                                    and np.min(np.abs(marks - iface)) < lam / 40.0)
-
-    p.E_vac_diamond = rep.E_vac_max_diamond
-    p.E_vac_global = rep.E_vac_global_max
+        return [DesignPoint(t_d_nm, L_nm, term, reason=f"{type(exc).__name__}: {exc}")
+                for term in terminations]
 
     rates = emitter_rates(e)
-    d = dipole_from_lifetime(rates["gamma_bulk"], lam, e.host_index)
-    g = coupling_rate(d, p.E_vac_diamond, e.dipole_orientation_factor)
-    p.g_rad_s = g
-
-    w = 2.0 * np.pi * CONSTANTS.c / (lam * 1e-9)
+    gamma = rates["gamma_bulk"]
+    g = coupling_rate(dipole_from_lifetime(gamma, lam, e.host_index),
+                      rep.E_vac_max_diamond, e.dipole_orientation_factor)
     kappa = 2.0 * g      # the 2 g rule, at every design point
-    p.kappa_applied_s = kappa
-    p.Q_required = w / kappa
-    F = purcell_zpl_theory(g, kappa, rates["gamma_bulk"])
-    p.F_P_zpl = F
-
-    g0 = ETA_DEBYE_WALLER * rates["gamma_bulk"]
-    p.eta_zpl = F * g0 / (rates["gamma_bulk"] - g0 + F * g0)
-    p.transform_limit_hz = transform_limit(F, rates["gamma_zpl"], rates["gamma_psb"])
-    p.valid = True
-    p.reason = "ok"
-    return p
+    F = purcell_zpl_theory(g, kappa, gamma)
+    g0 = ETA_DEBYE_WALLER * gamma
+    E, H = prof.faces[prof.layer_names.index("diamond")]
+    point = DesignPoint(
+        t_d_nm, L_nm, "", valid=True, reason="ok", L_tuned_nm=asm.L, lambda_res_nm=lam,
+        E_vac_diamond_V_per_m=rep.E_vac_max_diamond, E_vac_global_V_per_m=rep.E_vac_global_max,
+        g_rad_per_s=g, kappa_per_s=kappa, F_P_zpl=F,
+        Q_required=2.0 * np.pi * CONSTANTS.c / (lam * 1e-9) / kappa,
+        eta_zpl=F * g0 / (gamma - g0 + F * g0),
+        transform_limit_hz=transform_limit(F, rates["gamma_zpl"], rates["gamma_psb"]),
+        interface_field_ratio=float(abs(E) / prof.amplitude.max()))
+    near = _near_interface(asm, E, H, lam)
+    return [replace(point, termination=term, termination_consistent=near[term])
+            for term in terminations]
 
 
 def pareto_indices(points: list) -> list:
@@ -178,9 +187,10 @@ def pareto_indices(points: list) -> list:
 
 def sweep(t_d_values, L_values, terminations, emitter: EmitterSpec,
           R_um: float = DESIGN_RADIUS_UM) -> SweepResult:
-    """Evaluate the full grid with evaluate_design in deterministic order
-    (t_d, then L, then termination); invalid geometries are kept with
-    their reason.  Raises ResonanceError when no point is valid."""
+    """Evaluate the full grid in deterministic order (t_d, then L, then
+    termination), one evaluate_design solve per (t_d, L); invalid
+    geometries are kept with their reason.  Raises ResonanceError, with
+    the first point's reason, when no point is valid."""
     t_d_values = list(t_d_values)
     L_values = list(L_values)
     terminations = list(terminations)
@@ -189,11 +199,9 @@ def sweep(t_d_values, L_values, terminations, emitter: EmitterSpec,
     points = []
     for t_d in t_d_values:
         for L in L_values:
-            for term in terminations:
-                p = DesignPoint(t_d_nm=t_d, L_nm=L, termination=term)
-                points.append(evaluate_design(p, emitter, R_um))
+            points += evaluate_design(t_d, L, terminations, emitter, R_um)
     if not any(p.valid for p in points):
-        raise ResonanceError("no valid design point in the sweep grid")
+        raise ResonanceError(f"no valid design point in the sweep grid: {points[0].reason}")
     return SweepResult(
         points=points,
         pareto=pareto_indices(points),

@@ -23,8 +23,8 @@ The bounded fits share one numpy Levenberg-Marquardt core (Marquardt
 
 The Voigt profile evaluates the Faddeeva function with Weideman's
 rational series (J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1497
-(1994)) at N = 40 terms, and erf comes from ``math``, so the fits run on
-numpy's core and the standard library alone.
+(1994)) at N = 40 terms; the IRF-convolved decay reads erfcx from the same
+series.  So the fits run on numpy's core and the standard library alone.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ _SQRT2LN2 = np.sqrt(2.0 * np.log(2.0))
 MAX_ITER = 500
 REL_TOL = 1e-10
 _FD_STEP = np.sqrt(np.finfo(float).eps)
-_erf = np.frompyfunc(math.erf, 1, 1)
 
 # Weideman's N = 40 series: 40 real coefficients, the cosine sum of
 # f(t_k) = exp(-t_k^2) (L^2 + t_k^2), t_k = L tan(pi k / 4N), over |k| < 2N,
@@ -336,17 +335,20 @@ def fit_gaussian(data: XYSeries) -> FitResult:
 def exp_gauss_decay(t, tau, amplitude, baseline, sigma):
     """Single exponential starting at t = 0 convolved with a Gaussian IRF.
 
-    Closed form: A/2 exp(sigma^2/(2 tau^2) - t/tau)
-                 (1 + erf((t - sigma^2/tau)/(sigma sqrt(2)))).
-    sigma -> 0 reduces to a step exponential.
+    Closed form: A/2 e^{a} erfc(v), a = sigma^2/(2 tau^2) - t/tau,
+    v = (sigma/tau - t/sigma)/sqrt(2).  Since v^2 = a + t^2/(2 sigma^2), it
+    is evaluated as A/2 e^{-t^2/(2 sigma^2)} erfcx(v) for v >= 0 and
+    A/2 (2 e^{a} - e^{-t^2/(2 sigma^2)} erfcx(-v)) for v < 0, where a < 0,
+    with erfcx(y) = w(i y) from _faddeeva: no exponent overflows and no
+    erfc cancels.  sigma -> 0 reduces to a step exponential.
     """
     if sigma <= 0:
         return baseline + amplitude * np.where(t >= 0, np.exp(-t / np.maximum(tau, 1e-12)), 0.0)
-    arg = sigma ** 2 / (2.0 * tau ** 2) - t / tau
-    arg = np.clip(arg, -700.0, 700.0)
-    z = (t - sigma ** 2 / tau) / (sigma * np.sqrt(2.0))
-    gate = 0.5 * (1.0 + np.asarray(_erf(z), dtype=float))
-    return baseline + amplitude * np.exp(arg) * gate
+    v = (sigma / tau - t / sigma) / np.sqrt(2.0)
+    g = np.exp(-t ** 2 / (2.0 * sigma ** 2)) * np.real(_faddeeva(1j * np.abs(v)))
+    a = sigma ** 2 / (2.0 * tau ** 2) - t / tau
+    return baseline + 0.5 * amplitude * np.where(v >= 0, g,
+                                                 2.0 * np.exp(np.minimum(a, 0.0)) - g)
 
 
 def fit_lifetime(h: DecayHistogram) -> FitResult:

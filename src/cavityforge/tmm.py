@@ -11,8 +11,9 @@ The standing wave comes from one walk, _walk: it steps [E, H] down the
 stack from a unit transmitted wave at the exit face, for many (air gap,
 wavelength) samples at once, and scales by the amplitude transmission t.
 field_profile samples |E| inside each layer from the fields at its top
-face; _layer_energies integrates E = A e^{iks} + B e^{-iks} over each
-layer in closed form, so int eps_r |E|^2 dz is exact.  Branch character
+face, and keeps those face fields, from which design reads the interface
+field exactly.  _layer_energies integrates E = A e^{iks} + B e^{-iks} over
+each layer in closed form, so int eps_r |E|^2 dz is exact.  Branch character
 in dispersion_map and the integrals behind diamond_energy_fraction and
 the vacuum field all come from those energies.
 """
@@ -64,9 +65,8 @@ class FieldProfile:
     resonant_wavelength: float
     layer_edges: np.ndarray        # interface positions, nm
     layer_names: list[str]
-    antinodes: np.ndarray          # nm
-    nodes: np.ndarray              # nm
     layer_energy: np.ndarray       # exact int eps_r |E|^2 dz of each layer, nm
+    faces: np.ndarray              # [E, H] at each layer's top face, (layer, 2)
 
     def mask_for_layer(self, name: str) -> np.ndarray:
         mask = np.zeros_like(self.z, dtype=bool)
@@ -300,8 +300,9 @@ def field_profile(assembly: CavityAssembly, lam_res: float) -> FieldProfile:
     """Standing-wave |E(z)| through the stack at a resonant wavelength.
 
     Unit-amplitude illumination from the bottom substrate; amplitudes are
-    relative.  Rejects wavelengths more than one cold linewidth away from
-    resonance, judged by the round-trip phase at lam_res.
+    relative, and so are the fields [E, H] the profile keeps at each
+    layer's top face.  Rejects wavelengths more than one cold linewidth
+    away from resonance, judged by the round-trip phase at lam_res.
     """
     # a one-sample array, so that the energies round as _layer_energies' do
     lam = np.array([lam_res])
@@ -322,11 +323,10 @@ def field_profile(assembly: CavityAssembly, lam_res: float) -> FieldProfile:
         energy.append(_layer_energy(ly.n, d, lam, E, H))
 
     # bottom first, so z is already in order; interfaces carry two samples
-    z, amp = np.concatenate(zs), np.concatenate(amps)
-    anti, node = _extrema(z, amp)
-    return FieldProfile(z, amp, np.concatenate(eps), lam_res, edges,
-                        [ly.name for ly, _, _, _ in faces], anti, node,
-                        (np.array(energy) * np.abs(t) ** 2)[:, 0])
+    return FieldProfile(np.concatenate(zs), np.concatenate(amps), np.concatenate(eps),
+                        lam_res, edges, [ly.name for ly, _, _, _ in faces],
+                        (np.array(energy) * np.abs(t) ** 2)[:, 0],
+                        t[0] * np.array([[E[0], H[0]] for _, _, E, H in faces]))
 
 
 def _check_resonant(assembly: CavityAssembly, L: np.ndarray, lam: np.ndarray) -> None:
@@ -406,17 +406,6 @@ def _diamond_fraction(names: Sequence[str], energy: np.ndarray):
     """Share of the energy (layer, ...) held by the layers named diamond."""
     diamond = [i for i, name in enumerate(names) if name == "diamond"]
     return energy[diamond].sum(axis=0) / energy.sum(axis=0)
-
-
-def _extrema(z: np.ndarray, amp: np.ndarray):
-    """Antinodes (nodes) of the sampled amp(z): samples >= (<=) the one
-    below and > (<) the one above."""
-    # an interface carries one sample from each side, with equal |E|;
-    # keep one, or a rise (fall) through it reads as a node (antinode)
-    keep = np.concatenate([[True], np.diff(z) > 0])
-    z, amp = z[keep][1:-1], amp[keep]
-    below, mid, above = amp[:-2], amp[1:-1], amp[2:]
-    return z[(mid >= below) & (mid > above)], z[(mid <= below) & (mid < above)]
 
 
 def diamond_energy_fraction(profile: FieldProfile) -> float:

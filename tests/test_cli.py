@@ -337,6 +337,44 @@ def test_design_sweep_keeps_negative_gap_as_invalid_row(tmp_path):
     assert rows[0][4].startswith("GeometryError")
 
 
+def test_design_single_unknown_termination_exits_2_before_solving(tmp_path, capsys,
+                                                                  monkeypatch):
+    from cavityforge import design
+    monkeypatch.setattr(design, "cavity_mode", None)
+    assert _run(["design", "--single", "t_d_nm=198", "L_nm=5400", "termination=foo",
+                 "--r-um", "5.5", "-o", str(tmp_path / "d.csv")]) == 2
+    assert "termination must be node or antinode, got 'foo'" in capsys.readouterr().err
+
+
+def test_design_single_pareto_json_has_sweep_provenance(tmp_path):
+    pareto = tmp_path / "p.json"
+    assert _run(["design", "--single", "t_d_nm=132", "L_nm=637",
+                 "-o", str(tmp_path / "d.csv"), "--pareto-json", str(pareto)]) == 0
+    doc = json.loads(pareto.read_text())
+    assert doc["provenance"]["t_d_nm"] == [132.0]
+    assert doc["provenance"]["terminations"] == ["antinode"]
+    assert doc["provenance"]["emitter"]["zpl_wavelength_nm"] == 637.0
+    assert [e["index"] for e in doc["pareto"]] == [0]
+
+
+@pytest.mark.parametrize("command, block, key, value", [
+    ("report", "measured", "Gamma_L_pm", None),
+    ("report", "measured", "gamma_on_per_s", [1]),
+    ("design", "sweep", "t_d_nm", 132),
+    ("design", "sweep", "R_um", None),
+    ("design", "sweep", "terminations", "node"),
+])
+def test_config_value_of_the_wrong_type_exits_2(command, block, key, value, tmp_path, capsys):
+    from cavityforge.config import paper_baseline_dict
+    doc = paper_baseline_dict()
+    doc["sweep"] = {"t_d_nm": [198], "L_nm": [478]}
+    doc[block][key] = value
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert _run([command, "--config", str(cfg), "-o", str(tmp_path / "out")]) == 2
+    assert f"{block}.{key} must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", [
     ["--single", "t_d_nm=198", "L_nm=478"],
     ["--t-d-nm", "198", "--l-nm", "478", "--terminations", "node"],

@@ -1,10 +1,15 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from cavityforge import design, tmm
 from cavityforge.design import (DesignPoint, _tune_air_gap, design_mirrors,
                                 evaluate_design, pareto_indices, sweep)
 from cavityforge.stack import EmitterSpec, MirrorSpec, assemble_cavity
-from cavityforge.tmm import ResonanceError, find_resonances
+from cavityforge.tmm import (ResonanceError, characteristic_matrix, field_profile,
+                             find_resonances, stack_response)
 
 EMITTER = EmitterSpec()
 
@@ -33,16 +38,16 @@ def test_tune_air_gap_is_exact_and_independent_of_start(mirrors, t_d, L, R_um):
 
 def test_evaluate_design_invalid_geometry_keeps_reason():
     # L + t_d beyond the mirror curvature is unstable
-    p = evaluate_design(DesignPoint(t_d_nm=198.0, L_nm=6000.0,
-                                    termination="node"), EMITTER)
+    [p] = evaluate_design(198.0, 6000.0, ["node"], EMITTER)
     assert not p.valid
     assert p.reason
 
 
-def test_evaluate_design_unknown_termination_rejected():
-    with pytest.raises(ValueError):
-        evaluate_design(DesignPoint(t_d_nm=198.0, L_nm=478.0,
-                                    termination="sideways"), EMITTER)
+def test_evaluate_design_unknown_termination_rejected(monkeypatch):
+    # before any solve
+    monkeypatch.setattr(design, "cavity_mode", None)
+    with pytest.raises(ValueError, match="unknown termination 'sideways'"):
+        evaluate_design(198.0, 478.0, ["node", "sideways"], EMITTER)
 
 
 def _point(eta, q):
@@ -81,9 +86,7 @@ def test_sweep_empty_grid_rejected():
 def test_termination_verdicts_read_true_extrema():
     # |E| is continuous through the interface; only the true antinode,
     # a few nm above it, may count
-    node, anti = (evaluate_design(DesignPoint(t_d_nm=264.0, L_nm=637.0,
-                                              termination=term), EMITTER)
-                  for term in ("node", "antinode"))
+    node, anti = evaluate_design(264.0, 637.0, ["node", "antinode"], EMITTER)
     assert node.valid and anti.valid
     assert not node.termination_consistent
     assert anti.termination_consistent
@@ -99,13 +102,87 @@ def test_sweep_keeps_membraneless_point_with_reason():
 
 
 def test_transform_limit_follows_emitter_debye_waller():
-    p = DesignPoint(t_d_nm=132.0, L_nm=637.0, termination="antinode")
-    base = evaluate_design(p, EMITTER)
-    other = evaluate_design(p, EmitterSpec(debye_waller=0.03))
+    [base] = evaluate_design(132.0, 637.0, ["antinode"], EMITTER)
+    [other] = evaluate_design(132.0, 637.0, ["antinode"], EmitterSpec(debye_waller=0.03))
     assert other.eta_zpl == base.eta_zpl   # scored at the fixed 2.0 %
     assert other.transform_limit_hz != base.transform_limit_hz
 
 
 def test_sweep_all_invalid_raises():
-    with pytest.raises(ResonanceError):
+    with pytest.raises(ResonanceError, match="GeometryError: unstable"):
         sweep([198.0], [6000.0], ["node"], EMITTER)
+
+
+def test_sweep_solves_each_geometry_once(monkeypatch):
+    calls = []
+
+    def counting(asm, lam):
+        calls.append(asm.t_d)
+        return field_profile(asm, lam)
+
+    monkeypatch.setattr(design, "field_profile", counting)
+    res = sweep([132.0, 198.0], [478.0, 637.0], ["node", "antinode"], EMITTER)
+    assert calls == [132.0, 132.0, 198.0, 198.0]
+    # the two rows of a geometry differ in the termination and its verdict only
+    for node, anti in zip(res.points[::2], res.points[1::2]):
+        assert (node.termination, anti.termination) == ("node", "antinode")
+        np.testing.assert_equal(
+            asdict(replace(node, termination="", termination_consistent=False)),
+            asdict(replace(anti, termination="", termination_consistent=False)))
+
+
+LAM = EMITTER.zpl_wavelength
+
+
+def _dense_marks(asm, step=0.005, reach=LAM / 40.0 + 2.0):
+    # reference: |E| sampled every step nm within reach of the diamond-air
+    # interface (from stack_response's t and the 2x2 matrices walked down
+    # from the exit face), and the distance from the interface to the
+    # nearest sampled node and antinode
+    resp = stack_response(asm.layers(), asm.n_in, asm.n_out, LAM)
+    EH = np.array([resp.t, asm.n_out * resp.t])
+    for ly in reversed(asm.layers()):
+        if ly is asm.diamond:
+            break
+        EH = characteristic_matrix(ly, LAM) @ EH
+    u = np.arange(-min(asm.t_d, reach), min(asm.L, reach), step)  # height above
+    n = np.where(u < 0, asm.diamond.n.real, asm.air_gap.n.real)
+    delta = -2.0 * np.pi * n * u / LAM
+    amp = np.abs(np.cos(delta) * EH[0] - 1j * np.sin(delta) / n * EH[1])
+    mid, below, above = amp[1:-1], amp[:-2], amp[2:]
+    z = np.abs(u[1:-1])
+    return (z[(mid < below) & (mid < above)].min(initial=np.inf),
+            z[(mid > below) & (mid > above)].min(initial=np.inf))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=50.0, max_value=600.0),
+       st.floats(min_value=300.0, max_value=3000.0))
+def test_termination_verdict_matches_dense_sampling(t_d, L):
+    node, anti = evaluate_design(t_d, L, ["node", "antinode"], EMITTER)
+    assume(node.valid)
+    bottom, top = design_mirrors(LAM)
+    asm = assemble_cavity(bottom, t_d, L, top, design.DESIGN_RADIUS_UM)
+    dist = _dense_marks(_tune_air_gap(asm, LAM))
+    # the sampled marks sit within step of the true ones
+    assume(all(abs(d - LAM / 40.0) >= 0.5 for d in dist))
+    assert (node.termination_consistent, anti.termination_consistent) == \
+        tuple(d < LAM / 40.0 for d in dist)
+
+
+@pytest.mark.parametrize("t_d, L", [(198.0, 478.0), (132.0, 637.0), (264.0, 637.0)])
+def test_interface_reads_do_not_depend_on_sample_count(t_d, L):
+    bottom, top = design_mirrors(LAM)
+    asm = _tune_air_gap(assemble_cavity(bottom, t_d, L, top, design.DESIGN_RADIUS_UM), LAM)
+
+    def readings():
+        prof = field_profile(asm, LAM)
+        verdicts = [p.termination_consistent
+                    for p in evaluate_design(t_d, L, ["node", "antinode"], EMITTER)]
+        return verdicts, abs(prof.faces[prof.layer_names.index("diamond"), 0])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tmm, "_MIN_SAMPLES", 200)
+        coarse = readings()
+        mp.setattr(tmm, "_MIN_SAMPLES", 16000)
+        assert readings() == coarse

@@ -59,6 +59,20 @@ def test_exp_gauss_decay_reduces_to_exponential():
     assert np.allclose(a, b, rtol=1e-6)
 
 
+@pytest.mark.parametrize("tau", [1e-3 * 0.2, 0.027, 12.6])
+def test_exp_gauss_decay_matches_scipy(tau):
+    # e^{a} erfc(v) = 2 e^{a + log_ndtr(-sqrt(2) v)} overflows nowhere; the
+    # sum in the exponent cancels to ~1e-10 relative at tau << sigma
+    from scipy.special import log_ndtr
+    sigma = 0.2
+    t = np.arange(-2.0, 80.0, 0.05)
+    v = (sigma / tau - t / sigma) / np.sqrt(2.0)
+    a = sigma ** 2 / (2.0 * tau ** 2) - t / tau
+    ref = 1e4 * np.exp(a + log_ndtr(-np.sqrt(2.0) * v))
+    np.testing.assert_allclose(exp_gauss_decay(t, tau, 1e4, 0.0, sigma), ref,
+                               rtol=1e-9, atol=1e-300)  # subnormals round coarser
+
+
 # -------------------------------------------------- noiseless round trips
 
 

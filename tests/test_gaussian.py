@@ -79,9 +79,8 @@ def _sine_profile(L_nm=955.5, lam=637.0, n_samples=20001):
     return FieldProfile(
         z=z, amplitude=amp, eps_r=eps, resonant_wavelength=lam,
         layer_edges=np.array([0.0, L_nm]), layer_names=["diamond"],
-        antinodes=np.array([L_nm / 6, L_nm / 2, 5 * L_nm / 6]),
-        nodes=np.array([0.0, L_nm / 3, 2 * L_nm / 3, L_nm]),
         layer_energy=np.array([L_nm / 2]),  # int sin^2 over three half-waves
+        faces=np.zeros((1, 2), complex),    # vacuum_field reads no face fields
     )
 
 

@@ -298,16 +298,21 @@ def test_batched_energies_equal_one_sample_walk(paper_cavity):
     np.testing.assert_array_equal(prof.layer_energy, batched[:, 0])
 
 
-def _reference_amplitude(asm, lam, prof):
-    # reference: |E| at each of the profile's samples from stack_response's
-    # t and the 2x2 matrices walked down from the exit face
+def _reference_faces(asm, lam):
+    # reference: [E, H] at each layer's top face from stack_response's t and
+    # the 2x2 matrices walked down from the exit face
     resp = stack_response(asm.layers(), asm.n_in, asm.n_out, lam)
     EH = np.array([resp.t, asm.n_out * resp.t])
     tops = []
     for ly in reversed(asm.layers()):
         tops.append(EH)
         EH = characteristic_matrix(ly, lam) @ EH
-    tops = np.array(tops[::-1])
+    return np.array(tops[::-1])
+
+
+def _reference_amplitude(asm, lam, prof):
+    # reference: |E| at each of the profile's samples from _reference_faces
+    tops = _reference_faces(asm, lam)
     edges = prof.layer_edges
     i = np.clip(np.searchsorted(edges, prof.z, side="right") - 1, 0, len(tops) - 1)
     n = np.array([ly.n for ly in asm.layers()])[i]
@@ -330,40 +335,8 @@ def test_field_profile_matches_reference_walk(t_d, L, kappa_d):
     # 1e-12 of the sample, or of the peak near a node, where |E| is itself
     # a cancellation and both walks carry rounding of the peak's size
     np.testing.assert_allclose(prof.amplitude, ref, rtol=1e-12, atol=1e-12 * ref.max())
-
-
-def _extrema_loop(z, amp):
-    # the sample-by-sample scan that tmm._extrema vectorises
-    keep = np.concatenate([[True], np.diff(z) > 0])
-    z, amp = z[keep], amp[keep]
-    antinodes, nodes = [], []
-    for i in range(1, z.size - 1):
-        if amp[i] >= amp[i - 1] and amp[i] > amp[i + 1]:
-            antinodes.append(z[i])
-        if amp[i] <= amp[i - 1] and amp[i] < amp[i + 1]:
-            nodes.append(z[i])
-    return np.array(antinodes), np.array(nodes)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)), min_size=1, max_size=40))
-def test_extrema_equal_the_loop(steps):
-    # three amplitude levels make plateaus; each extra copy repeats a
-    # sample's z and |E|, as at an interface
-    z, amp = [], []
-    for pos, (level, extra) in enumerate(steps):
-        z += [float(pos)] * (extra + 1)
-        amp += [float(level)] * (extra + 1)
-    z, amp = np.array(z), np.array(amp)
-    for got, want in zip(tmm._extrema(z, amp), _extrema_loop(z, amp)):
-        np.testing.assert_array_equal(got, want)
-
-
-def test_extrema_equal_the_loop_on_a_profile(baseline_resonant):
-    prof = field_profile(*baseline_resonant)
-    for got, want in zip(tmm._extrema(prof.z, prof.amplitude),
-                         _extrema_loop(prof.z, prof.amplitude)):
-        np.testing.assert_array_equal(got, want)
+    faces = _reference_faces(asm, lam)
+    np.testing.assert_allclose(prof.faces, faces, rtol=1e-12, atol=1e-12 * np.abs(faces).max())
 
 
 @settings(max_examples=6, deadline=None)
