@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import json
 import sys
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -84,8 +85,7 @@ def _load_run_config(args) -> RunConfig:
 # ---------------------------------------------------------------- dispersion
 
 def cmd_dispersion(args) -> int:
-    for name in ("l_min_um", "l_max_um", "l_step_nm", "lambda_min_nm", "lambda_max_nm",
-                 "scan_step_nm"):
+    for name in ("l_min_um", "l_max_um", "l_step_nm", "lambda_min_nm", "lambda_max_nm"):
         v = getattr(args, name)
         if not (np.isfinite(v) and v > 0):
             raise ConfigError(f"--{name.replace('_', '-')} must be positive and finite, got {v}")
@@ -98,9 +98,7 @@ def cmd_dispersion(args) -> int:
                          args.l_step_nm)
     if L_values.size < 2:
         raise ConfigError("L range must contain at least two samples")
-    branches = dispersion_map(cfg.cavity, L_values,
-                              (args.lambda_min_nm, args.lambda_max_nm),
-                              scan_step=args.scan_step_nm)
+    branches = dispersion_map(cfg.cavity, L_values, (args.lambda_min_nm, args.lambda_max_nm))
     if not branches:
         print("no resonance found in the requested window", file=sys.stderr)
         return EXIT_PHYSICS
@@ -373,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-step-nm", type=float, default=20.0)
     p.add_argument("--lambda-min-nm", type=float, default=600.0)
     p.add_argument("--lambda-max-nm", type=float, default=700.0)
-    p.add_argument("--scan-step-nm", type=float, default=0.005)
     p.add_argument("--max-transverse-order", type=int, default=0)
     p.set_defaults(func=cmd_dispersion)
 
@@ -418,17 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ConfigError, FitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ResonanceError, GeometryError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PHYSICS
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with warnings.catch_warnings():
+        # each warning of the command as one line, as the errors are
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (ResonanceError, GeometryError, DomainError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PHYSICS
+        except (ConfigError, FitError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

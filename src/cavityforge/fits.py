@@ -368,7 +368,8 @@ def fit_lifetime(h: DecayHistogram) -> FitResult:
     # crude tau from the 1/e point of the decaying part
     above = c - base0 > amp0 / np.e
     tau0 = float(t[above][-1] - t[0]) if above.any() else float(t[-1] - t[0]) / 3.0
-    tau0 = max(tau0, float(np.mean(np.diff(t))))
+    bin_ns = float(np.mean(np.diff(t)))
+    tau0 = max(tau0, bin_ns)
 
     def resid(p):
         tau, amp, base = p
@@ -380,6 +381,9 @@ def fit_lifetime(h: DecayHistogram) -> FitResult:
     if out.params["tau_ns"] <= 2e-6:
         out.notes.append("tau pinned at lower bound")
         out.converged = False
+    if out.params["tau_ns"] < 1e-3 * max(bin_ns, h.irf_sigma_ns):
+        out.degenerate = True
+        out.notes.append("tau far below the time resolution; not identifiable")
     return out
 
 

@@ -11,78 +11,72 @@ import numpy as np
 
 from .fits import DecayHistogram, XYSeries, exp_gauss_decay, gaussian, lorentzian, voigt_profile
 
+# cavity-length-tuned resonance: Lorentzian and Gaussian FWHM (pm), counts
+_VOIGT_FWHM_L_PM, _VOIGT_FWHM_G_PM = 60.6, 30.0
+_VOIGT_AMPLITUDE, _VOIGT_OFFSET, _VOIGT_POINTS = 1000.0, 20.0, 241
+# decay rate (per s) against spectral (nm) and lateral (um) detuning
+_RATE_FWHM_NM, _RATE_FWHM_UM, _RATE_PEAK, _RATE_BASE, _RATE_POINTS = 0.32, 0.80, 158e6, 88.2e6, 121
+# pulsed-excitation decay histogram
+_DECAY_IRF_SIGMA_NS, _DECAY_AMPLITUDE, _DECAY_BASELINE = 0.2, 1e4, 5.0
+_DECAY_T_MAX_NS, _DECAY_BIN_NS, _DECAY_WINDOW_START_NS = 80.0, 0.05, 3.0
+# pulsed HBT coincidence histogram
+_G2_ZERO, _G2_PERIOD_NS, _G2_BIN_NS = 0.27, 100.0, 0.2
+_G2_PEAK_SIGMA_NS, _G2_PEAK_AREA = 2.0, 2000.0
 
-def voigt_resonance(center_nm: float = 637.0, fwhm_l_pm: float = 60.6,
-                    fwhm_g_pm: float = 30.0, amplitude: float = 1000.0,
-                    offset: float = 20.0, n_points: int = 241,
-                    noise_frac: float = 0.0, seed: int = 0) -> XYSeries:
+
+def _noisy(y: np.ndarray, noise_frac: float, seed: int) -> np.ndarray:
+    """y with seeded multiplicative Gaussian noise of relative size noise_frac."""
+    if noise_frac > 0:
+        y = y * (1.0 + noise_frac * np.random.default_rng(seed).standard_normal(y.size))
+    return y
+
+
+def voigt_resonance(noise_frac: float = 0.0, seed: int = 0) -> XYSeries:
     """Cavity-length-tuned resonance profile (x in pm detuning)."""
-    span = 6.0 * (fwhm_l_pm + fwhm_g_pm)
-    x = np.linspace(-span, span, n_points)
-    y = voigt_profile(x, 0.0, amplitude, fwhm_g_pm, fwhm_l_pm, offset)
-    if noise_frac > 0:
-        rng = np.random.default_rng(seed)
-        y = y * (1.0 + noise_frac * rng.standard_normal(x.size))
-    return XYSeries(x, y, x_unit="delta_l_pm", y_unit="counts")
+    span = 6.0 * (_VOIGT_FWHM_L_PM + _VOIGT_FWHM_G_PM)
+    x = np.linspace(-span, span, _VOIGT_POINTS)
+    y = voigt_profile(x, 0.0, _VOIGT_AMPLITUDE, _VOIGT_FWHM_G_PM, _VOIGT_FWHM_L_PM, _VOIGT_OFFSET)
+    return XYSeries(x, _noisy(y, noise_frac, seed), x_unit="delta_l_pm", y_unit="counts")
 
 
-def lorentzian_rate_curve(fwhm_nm: float = 0.32, peak_rate: float = 158e6,
-                          baseline: float = 88.2e6, n_points: int = 121,
-                          noise_frac: float = 0.0, seed: int = 0) -> XYSeries:
+def lorentzian_rate_curve(noise_frac: float = 0.0, seed: int = 0) -> XYSeries:
     """Decay rate vs spectral detuning (x in nm)."""
-    x = np.linspace(-4.0 * fwhm_nm, 4.0 * fwhm_nm, n_points)
-    y = lorentzian(x, 0.0, fwhm_nm, peak_rate - baseline, baseline)
-    if noise_frac > 0:
-        rng = np.random.default_rng(seed)
-        y = y * (1.0 + noise_frac * rng.standard_normal(x.size))
-    return XYSeries(x, y, x_unit="delta_lambda_nm", y_unit="rate_per_s")
+    x = np.linspace(-4.0 * _RATE_FWHM_NM, 4.0 * _RATE_FWHM_NM, _RATE_POINTS)
+    y = lorentzian(x, 0.0, _RATE_FWHM_NM, _RATE_PEAK - _RATE_BASE, _RATE_BASE)
+    return XYSeries(x, _noisy(y, noise_frac, seed), x_unit="delta_lambda_nm", y_unit="rate_per_s")
 
 
-def gaussian_rate_curve(fwhm_um: float = 0.80, peak_rate: float = 158e6,
-                        baseline: float = 88.2e6, n_points: int = 121,
-                        noise_frac: float = 0.0, seed: int = 0) -> XYSeries:
+def gaussian_rate_curve(noise_frac: float = 0.0, seed: int = 0) -> XYSeries:
     """Decay rate vs lateral detuning (x in um)."""
-    x = np.linspace(-3.0 * fwhm_um, 3.0 * fwhm_um, n_points)
-    y = gaussian(x, 0.0, fwhm_um, peak_rate - baseline, baseline)
-    if noise_frac > 0:
-        rng = np.random.default_rng(seed)
-        y = y * (1.0 + noise_frac * rng.standard_normal(x.size))
-    return XYSeries(x, y, x_unit="delta_x_um", y_unit="rate_per_s")
+    x = np.linspace(-3.0 * _RATE_FWHM_UM, 3.0 * _RATE_FWHM_UM, _RATE_POINTS)
+    y = gaussian(x, 0.0, _RATE_FWHM_UM, _RATE_PEAK - _RATE_BASE, _RATE_BASE)
+    return XYSeries(x, _noisy(y, noise_frac, seed), x_unit="delta_x_um", y_unit="rate_per_s")
 
 
-def decay_histogram(tau_ns: float = 12.6, irf_sigma_ns: float = 0.2,
-                    amplitude: float = 1e4, baseline: float = 5.0,
-                    fast_tau_ns: float = 0.0, fast_amplitude: float = 0.0,
-                    t_max_ns: float = 80.0, bin_ns: float = 0.05,
-                    poisson: bool = False, seed: int = 0,
-                    fit_window_start_ns: float = 3.0) -> DecayHistogram:
+def decay_histogram(tau_ns: float = 12.6, fast_tau_ns: float = 0.0,
+                    fast_amplitude: float = 0.0, poisson: bool = False,
+                    seed: int = 0) -> DecayHistogram:
     """Pulsed-excitation decay histogram, optionally with a fast background
     component (rejected by the fit window) and Poisson counting noise."""
-    t = np.arange(0.0, t_max_ns + bin_ns / 2, bin_ns)
-    y = exp_gauss_decay(t, tau_ns, amplitude, baseline, irf_sigma_ns)
+    t = np.arange(0.0, _DECAY_T_MAX_NS + _DECAY_BIN_NS / 2, _DECAY_BIN_NS)
+    y = exp_gauss_decay(t, tau_ns, _DECAY_AMPLITUDE, _DECAY_BASELINE, _DECAY_IRF_SIGMA_NS)
     if fast_amplitude > 0 and fast_tau_ns > 0:
-        y = y + exp_gauss_decay(t, fast_tau_ns, fast_amplitude, 0.0, irf_sigma_ns)
+        y = y + exp_gauss_decay(t, fast_tau_ns, fast_amplitude, 0.0, _DECAY_IRF_SIGMA_NS)
     if poisson:
-        rng = np.random.default_rng(seed)
-        y = rng.poisson(y).astype(float)
-    return DecayHistogram(t, y, irf_sigma_ns=irf_sigma_ns,
-                          fit_window_start_ns=fit_window_start_ns)
+        y = np.random.default_rng(seed).poisson(y).astype(float)
+    return DecayHistogram(t, y, irf_sigma_ns=_DECAY_IRF_SIGMA_NS,
+                          fit_window_start_ns=_DECAY_WINDOW_START_NS)
 
 
-def g2_histogram(g2_zero: float = 0.27, pulse_period_ns: float = 100.0,
-                 n_side_peaks: int = 10, peak_sigma_ns: float = 2.0,
-                 peak_area: float = 2000.0, bin_ns: float = 0.2,
-                 poisson: bool = False, seed: int = 0) -> XYSeries:
+def g2_histogram(n_side_peaks: int = 10, poisson: bool = False, seed: int = 0) -> XYSeries:
     """Pulsed HBT coincidence histogram with the zero-delay peak suppressed."""
-    t_max = (n_side_peaks + 0.5) * pulse_period_ns
-    t = np.arange(-t_max, t_max + bin_ns / 2, bin_ns)
+    t_max = (n_side_peaks + 0.5) * _G2_PERIOD_NS
+    t = np.arange(-t_max, t_max + _G2_BIN_NS / 2, _G2_BIN_NS)
     y = np.zeros_like(t)
     for k in range(-n_side_peaks, n_side_peaks + 1):
-        area = peak_area * (g2_zero if k == 0 else 1.0)
-        y += area * bin_ns / (peak_sigma_ns * np.sqrt(2 * np.pi)) * \
-            np.exp(-((t - k * pulse_period_ns) ** 2) / (2 * peak_sigma_ns ** 2))
+        area = _G2_PEAK_AREA * (_G2_ZERO if k == 0 else 1.0)
+        y += area * _G2_BIN_NS / (_G2_PEAK_SIGMA_NS * np.sqrt(2 * np.pi)) * \
+            np.exp(-((t - k * _G2_PERIOD_NS) ** 2) / (2 * _G2_PEAK_SIGMA_NS ** 2))
     if poisson:
-        rng = np.random.default_rng(seed)
-        y = rng.poisson(y).astype(float)
+        y = np.random.default_rng(seed).poisson(y).astype(float)
     return XYSeries(t, y, x_unit="delay_ns", y_unit="coincidences")
-

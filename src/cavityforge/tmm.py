@@ -43,7 +43,6 @@ class BranchSample:
     L: float
     lambda_res: float
     slope: float = np.nan         # d(lambda)/dL, filled by dispersion_map
-    diamond_fraction: float = np.nan
 
 
 @dataclass
@@ -187,12 +186,16 @@ def _fwhm_phase(assembly: CavityAssembly, z):
     return 2.0 * (1.0 - rho) / np.sqrt(rho)
 
 
-def _scan_grid(lam_window: tuple[float, float], scan_step: float) -> np.ndarray:
-    lo, hi = lam_window
-    return np.arange(lo, hi + scan_step, scan_step)
-
-
+_SCAN_STEP = 0.005  # nm, the lattice that brackets the phase roots
 _DLAM = 1e-4  # nm, central-difference step of the mirror phase slope
+
+
+def _scan_grid(lam_window: tuple[float, float]) -> np.ndarray:
+    """The window's ends and every multiple of _SCAN_STEP strictly between
+    them: no bracket leaves the window or depends on where it starts."""
+    lo, hi = lam_window
+    k = np.arange(np.floor(lo / _SCAN_STEP) + 1.0, np.ceil(hi / _SCAN_STEP)) * _SCAN_STEP
+    return np.concatenate([[lo], k[(k > lo) & (k < hi)], [hi]])
 
 
 @dataclass
@@ -204,19 +207,20 @@ class _Roots:
 
 
 def _phase_roots(assembly: CavityAssembly, lam_window: tuple[float, float],
-                 scan_step: float, L_values: np.ndarray) -> _Roots:
+                 L_values: np.ndarray) -> _Roots:
     """Resonances of the assembly at every air gap in L_values: the roots
     in lambda of phi(lam; L) = 2 pi m in lam_window, in order of L, then
     of lambda.
 
-    The mirror product z comes once, on the scan_step grid.  Each L
-    brackets its 2 pi m crossings between adjacent grid points; then Newton
-    steps on the exact mirror matrices refine all roots in lock-step, each
-    until its step stops shrinking (a fixed point).  A root's iteration
-    reads only its own bracket, so it does not depend on the window's
-    extent.  Roots within five linewidths of the window edge warn.
+    The mirror product z comes once, on the _scan_grid lattice, far finer
+    than a free spectral range.  Each L brackets its 2 pi m crossings
+    between adjacent grid points; then Newton steps on the exact mirror
+    matrices refine all roots in lock-step, each until its step stops
+    shrinking (a fixed point).  A root's iteration reads only its own
+    bracket, so it does not depend on the window.  Roots within five
+    linewidths of the window edge warn.
     """
-    grid = _scan_grid(lam_window, scan_step)
+    grid = _scan_grid(lam_window)
     z_grid = _round_trip(assembly, grid)
     wrapped = np.angle(z_grid)
     theta = np.unwrap(wrapped)
@@ -266,16 +270,13 @@ def _phase_roots(assembly: CavityAssembly, lam_window: tuple[float, float],
     return _Roots(index, lam, order, width)
 
 
-def find_resonances(assembly: CavityAssembly, lam_window: tuple[float, float],
-                    scan_step: float = 0.001) -> list[dict]:
+def find_resonances(assembly: CavityAssembly, lam_window: tuple[float, float]) -> list[dict]:
     """Resonances of the assembly inside lam_window.
 
     A resonance is a root of the round-trip phase closure
     phi(lam) = 4 pi L / lam + arg(r_b r_t) = 2 pi m, with r_b (diamond plus
-    bottom DBR) and r_t (top DBR) seen from the air gap.  The scan_step grid
-    only brackets the roots, so it must stay well below one free spectral
-    range; Newton steps on the exact mirror matrices then find each root
-    to a fixed point.  The cold linewidth is the closed-form Airy FWHM
+    bottom DBR) and r_t (top DBR) seen from the air gap, found by
+    _phase_roots.  The cold linewidth is the closed-form Airy FWHM
     2 (1 - rho) / (sqrt(rho) |dphi/dlam|), rho = |r_b r_t| times the
     mirrors' lumped-loss factor sqrt((1 - l_b)(1 - l_t)).  Peaks within
     five linewidths of the window edge raise a warning.
@@ -283,7 +284,7 @@ def find_resonances(assembly: CavityAssembly, lam_window: tuple[float, float],
     Returns one dict per resonance: lambda_res (nm), cold_linewidth_nm,
     Q_cold, peak_transmission.  Empty list when no root lies in the window.
     """
-    roots = _phase_roots(assembly, lam_window, scan_step, np.array([assembly.L]))
+    roots = _phase_roots(assembly, lam_window, np.array([assembly.L]))
     T0 = transmission_spectrum(assembly.layers(), assembly.n_in, assembly.n_out,
                                roots.lam)
     return [{"lambda_res": float(lam),
@@ -415,17 +416,17 @@ def diamond_energy_fraction(profile: FieldProfile) -> float:
 
 
 def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
-                   lam_window: tuple[float, float],
-                   scan_step: float = 0.002) -> list[ModeBranch]:
+                   lam_window: tuple[float, float]) -> list[ModeBranch]:
     """Resonances across an air-gap scan, as branches of fixed mode order.
 
-    At each L the resonances are the phase roots find_resonances returns,
-    found together for all L: the mirror phases do not depend on L, so they
-    are computed once on the scan_step grid, which must stay well below one
-    free spectral range.  A branch is the set of roots of one mode order m
-    of phi(lam; L) = 2 pi m; branches with fewer than two samples are
-    dropped.  Roots within five linewidths of the window edge warn, as in
-    find_resonances.  Slopes d(lambda)/dL are np.gradient along each branch.
+    At each L the resonances are the phase roots find_resonances returns
+    (edge peaks warn alike), found together for all L.  A branch holds the
+    roots of one mode order m of phi(lam; L) = 2 pi m, one per L.  Past the
+    mirrors' stop band phi need not be monotone in lambda, and one order can
+    close twice at one L (a fold pair): a root then joins the branch of its
+    rank in lambda among its order's roots at that L.  Branches with fewer
+    than two samples are dropped.  Slopes d(lambda)/dL are np.gradient
+    along each branch.
 
     A branch's character comes from the exact in-diamond energy fraction
     at its first, middle and last sample, all branches in one
@@ -436,11 +437,15 @@ def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
     if not np.all(np.diff(L_values) > 0):
         raise ValueError("L grid must be strictly increasing")
 
-    roots = _phase_roots(assembly, lam_window, scan_step, L_values)
+    roots = _phase_roots(assembly, lam_window, L_values)
+    # a branch: one order m, and one rank in lambda among m's roots at each L
+    seen, groups = {}, {}
+    for k, key in enumerate(zip(roots.order.tolist(), roots.index.tolist())):
+        seen[key] = seen.get(key, -1) + 1
+        groups.setdefault((key[0], seen[key]), []).append(k)
     branches = []
-    for m in sorted(set(roots.order.tolist())):  # np.unique imports numpy.ma
-        sel = np.flatnonzero(roots.order == m)
-        if sel.size < 2:
+    for (m, _), sel in sorted(groups.items()):
+        if len(sel) < 2:
             continue
         Ls, lams = L_values[roots.index[sel]], roots.lam[sel]
         slopes = np.gradient(lams, Ls)
@@ -460,10 +465,9 @@ def _classify_branches(assembly: CavityAssembly, branches: list[ModeBranch]) -> 
     lam = np.array([s.lambda_res for s in flat])
     _check_resonant(assembly, L, lam)
     names = [ly.name for ly in assembly.layers()]
-    for s, f in zip(flat, _diamond_fraction(names, _layer_energies(assembly, L, lam))):
-        s.diamond_fraction = float(f)
+    flat_fracs = iter(_diamond_fraction(names, _layer_energies(assembly, L, lam)).tolist())
     for br, samples in zip(branches, picked):
-        fracs = [s.diamond_fraction for s in samples]
+        fracs = [next(flat_fracs) for _ in samples]
         if max(fracs) < 0.25:
             br.character = "air-like"
         elif min(fracs) > 0.75:

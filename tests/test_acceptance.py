@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from cavityforge import synthetic
+from cavityforge import synthetic, tmm
 from cavityforge.constants import CONSTANTS
 from cavityforge.cqed import (RatesMeasurement, coupling_rate,
                               debye_waller_inversion, dipole_from_lifetime,
@@ -149,7 +149,7 @@ def baseline_dispersion():
     top = MirrorSpec(pairs=14, center_wavelength=637.0)
     asm = assemble_cavity(bottom, t_d=770.0, L=1960.0, top=top, R_um=16.0)
     L_values = np.arange(1500.0, 4501.0, 50.0)
-    return asm, dispersion_map(asm, L_values, (600.0, 700.0), scan_step=0.005)
+    return asm, dispersion_map(asm, L_values, (600.0, 700.0))
 
 
 def test_criterion_6_dispersion_map(baseline_dispersion):
@@ -172,12 +172,13 @@ def test_criterion_6_dispersion_map(baseline_dispersion):
                    slopes.max() / slopes.min() > 2.0,
                    f"min {slopes.min():.3f}, max {slopes.max():.3f}"))
     # grid-halving stability of the resonance position at the operating point
-    lam_coarse = min(find_resonances(asm.with_air_gap(s.L), (630.0, 645.0),
-                                     scan_step=0.004),
-                     key=lambda d: abs(d["lambda_res"] - s.lambda_res))["lambda_res"]
-    lam_fine = min(find_resonances(asm.with_air_gap(s.L), (630.0, 645.0),
-                                   scan_step=0.002),
-                   key=lambda d: abs(d["lambda_res"] - s.lambda_res))["lambda_res"]
+    def nearest(step):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tmm, "_SCAN_STEP", step)
+            res = find_resonances(asm.with_air_gap(s.L), (630.0, 645.0))
+        return min(res, key=lambda d: abs(d["lambda_res"] - s.lambda_res))["lambda_res"]
+
+    lam_coarse, lam_fine = nearest(0.004), nearest(0.002)
     checks.append(("stability under grid halving", abs(lam_fine - lam_coarse) < 1e-4,
                    f"delta {abs(lam_fine - lam_coarse):.2e} nm"))
     _verdict(6, "mode dispersion map", checks)
@@ -293,7 +294,7 @@ def test_criterion_8c_fitters_noiseless_roundtrip():
     out = fit_lifetime(synthetic.decay_histogram(tau_ns=12.6, poisson=False))
     ok, det = _within(out.params["tau_ns"], 12.6, rel=1e-4)
     checks.append(("lifetime tau", ok, det))
-    g2 = g2_pulse_areas(synthetic.g2_histogram(g2_zero=0.27, poisson=False),
+    g2 = g2_pulse_areas(synthetic.g2_histogram(poisson=False),
                         100.0, 20.0)
     ok, det = _within(g2["g2_zero"], 0.27, abs_=1e-4)
     checks.append(("g2 zero", ok, det))
@@ -317,8 +318,8 @@ def test_criterion_8d_fitters_noisy_recovery_100_seeds():
             out = fit_lifetime(synthetic.decay_histogram(tau_ns=tau,
                                                          poisson=True, seed=seed))
             errs[key].append(abs(out.params["tau_ns"] / tau - 1.0))
-        g2 = g2_pulse_areas(synthetic.g2_histogram(g2_zero=0.27, poisson=True,
-                                                   seed=seed), 100.0, 20.0)
+        g2 = g2_pulse_areas(synthetic.g2_histogram(poisson=True, seed=seed),
+                            100.0, 20.0)
         errs["g2"].append(abs(g2["g2_zero"] - 0.27))
     tols = {"voigt": 0.10, "lorentzian": 0.08, "gaussian": 0.05,
             "tau_7.06": 0.02, "tau_12.6": 0.02, "g2": 0.05}

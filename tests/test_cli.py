@@ -3,10 +3,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from cavityforge import cli
 from cavityforge.cli import main
+from cavityforge.tmm import ResonanceError
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -157,9 +160,34 @@ def test_dispersion_needs_a_config():
     assert _run(["dispersion"]) == 2
 
 
+def test_dispersion_past_the_stop_band_writes_finite_rows(tmp_path, capsys):
+    # fold pairs past the stop band: every row finite, every warning one line
+    out = tmp_path / "x.csv"
+    assert _run(["dispersion", "--paper-baseline", "--lambda-min-nm", "560",
+                 "--lambda-max-nm", "760", "--l-min-um", "1.5", "--l-max-um", "2.2",
+                 "--max-transverse-order", "1", "-o", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert rows and not [r for r in rows if "inf" in r or "nan" in r]
+    err = capsys.readouterr().err.splitlines()
+    assert err
+    assert all(ln.startswith("warning: transmission peak at ")
+               and ln.endswith(" nm abuts the window edge") for ln in err)
+
+
+def test_warnings_print_one_line_each_before_a_failure(monkeypatch, capsys):
+    def failing(args):
+        warnings.warn("first")
+        warnings.warn("second", RuntimeWarning)
+        raise ResonanceError("no mode")
+
+    monkeypatch.setattr(cli, "cmd_report", failing)
+    assert _run(["report", "--paper-baseline"]) == 3
+    assert capsys.readouterr().err == "warning: first\nwarning: second\nerror: no mode\n"
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--l-step-nm", "0"], "must be positive"),
-    (["--scan-step-nm", "0"], "must be positive"),
+    (["--lambda-min-nm", "0"], "must be positive"),
     (["--lambda-min-nm", "700", "--lambda-max-nm", "600"], "must be below"),
     (["--max-transverse-order", "-3"], "must not be negative"),
 ])
@@ -175,7 +203,7 @@ def test_dispersion_bad_steps_and_window_exit_2(flags, message, capsys):
     (["--l-max-um", "nan"], "--l-max-um must be positive and finite, got nan"),
     (["--l-max-um", "inf"], "--l-max-um must be positive and finite, got inf"),
     (["--l-step-nm", "inf"], "--l-step-nm must be positive and finite, got inf"),
-    (["--scan-step-nm", "inf"], "--scan-step-nm must be positive and finite, got inf"),
+    (["--lambda-min-nm", "nan"], "--lambda-min-nm must be positive and finite, got nan"),
     (["--lambda-max-nm", "inf"], "--lambda-max-nm must be positive and finite, got inf"),
 ])
 def test_dispersion_non_finite_or_non_positive_value_exits_2(flags, message, tmp_path, capsys):
@@ -194,6 +222,7 @@ def test_config_and_baseline_are_exclusive(tmp_path):
     ["report", "--paper-baseline", "--threads", "2"],
     ["synth", "g2", "--config", "/nonexistent.json"],
     ["fit", "voigt", str(DATA / "zpl2_resonance.csv"), "--paper-baseline"],
+    ["dispersion", "--paper-baseline", "--scan-step-nm", "0.005"],
 ])
 def test_unhonoured_flags_rejected(argv):
     with pytest.raises(SystemExit) as exc:
@@ -395,17 +424,6 @@ def test_synth_deterministic(tmp_path):
     assert _run(["synth", "resonance", "--seed", "9", "--noise-frac", "0.02",
                  "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_bundled_data_matches_generators(tmp_path):
-    regen = tmp_path / "r.csv"
-    assert _run(["synth", "resonance", "--seed", "1", "--noise-frac", "0.02",
-                 "-o", str(regen)]) == 0
-    assert regen.read_bytes() == (DATA / "zpl2_resonance.csv").read_bytes()
-    regen2 = tmp_path / "l.csv"
-    assert _run(["synth", "lateral", "--seed", "2", "--noise-frac", "0.02",
-                 "-o", str(regen2)]) == 0
-    assert regen2.read_bytes() == (DATA / "zpl6_lateral.csv").read_bytes()
 
 
 # -------------------------------------------------------------------- import

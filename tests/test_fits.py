@@ -116,13 +116,13 @@ def test_lifetime_window_rejects_fast_component():
 
 
 def test_g2_noiseless():
-    s = synthetic.g2_histogram(g2_zero=0.27, poisson=False)
+    s = synthetic.g2_histogram(poisson=False)
     out = g2_pulse_areas(s, 100.0, 20.0)
     assert out["g2_zero"] == pytest.approx(0.27, abs=1e-4)
 
 
 def test_g2_normalization_delay_excludes_near_peaks():
-    s = synthetic.g2_histogram(g2_zero=0.27, poisson=False)
+    s = synthetic.g2_histogram(poisson=False)
     out = g2_pulse_areas(s, 100.0, 20.0, normalization_delay_ns=300.0)
     assert out["g2_zero"] == pytest.approx(0.27, abs=1e-4)
 
@@ -278,3 +278,15 @@ def test_solver_matches_scipy_trf(kind, monkeypatch):
             tol = 2e-5 if name == "center" else 1e-6
             scale = max(abs(want), ref.uncertainties[name])
             assert abs(own.params[name] - want) <= tol * scale, (seed, name)
+
+
+def test_lifetime_far_below_the_resolution_is_degenerate():
+    # a bare IRF peak holds no decay: tau runs orders of magnitude below
+    # both the bin width and the IRF width, where it is not identifiable
+    t = np.arange(0.0, 20.0, 0.05)
+    c = 5.0 + 1e4 * np.exp(-t ** 2 / 0.08)
+    out = fit_lifetime(DecayHistogram(t, c, irf_sigma_ns=0.2, fit_window_start_ns=0.0))
+    assert out.params["tau_ns"] < 2e-4
+    assert out.degenerate
+    assert "tau far below the time resolution; not identifiable" in out.notes
+    assert not out.converged

@@ -128,7 +128,7 @@ def test_vacuum_field_requires_diamond_layer():
 def test_global_max_at_least_diamond_max():
     m = MirrorSpec(pairs=12, center_wavelength=637.0)
     asm = assemble_cavity(m, t_d=770.0, L=1960.0, top=m, R_um=16.0)
-    res = find_resonances(asm, (630.0, 645.0), scan_step=0.002)
+    res = find_resonances(asm, (630.0, 645.0))
     lam = min(res, key=lambda d: abs(d["lambda_res"] - 637.0))["lambda_res"]
     prof = field_profile(asm, lam)
     rep = vacuum_field(prof, 0.781)

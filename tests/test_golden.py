@@ -1,8 +1,9 @@
 """Byte-for-byte comparison of CLI outputs with recorded golden files.
 
-The files under tests/golden/ hold the exact output of each command.  A
-change that moves a digit on purpose re-records the file it moves (run the
-command with ``-o tests/golden/<file>``) and lists the change in
+The files under tests/golden/ hold the exact output of each command, and
+the bundled datasets under data/ that of the synth command that wrote
+them.  A change that moves a digit on purpose re-records the file it moves
+(run the command with ``-o tests/golden/<file>``) and lists the change in
 CHANGES.md.
 """
 
@@ -31,7 +32,12 @@ CASES = {
     "fit_voigt_zpl2_resonance.json": ["fit", "voigt", str(REPO / "data" / "zpl2_resonance.csv")],
     "fit_gaussian_zpl6_lateral.json": ["fit", "gaussian",
                                        str(REPO / "data" / "zpl6_lateral.csv")],
+    # the bundled datasets, as scripts/make_synthetic_data.py writes them
+    "zpl2_resonance.csv": ["synth", "resonance", "--seed", "1", "--noise-frac", "0.02"],
+    "zpl6_lateral.csv": ["synth", "lateral", "--seed", "2", "--noise-frac", "0.02"],
 }
+# cases whose recorded output is a bundled dataset, not a file in tests/golden/
+IN_DATA = {"zpl2_resonance.csv", "zpl6_lateral.csv"}
 # commands that also write a --pareto-json file
 PARETO = {"design_sweep_3x3x2.csv": "design_sweep_3x3x2_pareto.json"}
 
@@ -45,4 +51,5 @@ def test_output_matches_golden(name, tmp_path):
         argv += ["--pareto-json", str(written[PARETO[name]])]
     assert main(argv) == 0
     for golden, path in written.items():
-        assert path.read_bytes() == (GOLDEN / golden).read_bytes(), golden
+        recorded = (REPO / "data" if golden in IN_DATA else GOLDEN) / golden
+        assert path.read_bytes() == recorded.read_bytes(), golden

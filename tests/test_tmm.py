@@ -173,24 +173,24 @@ def ideal_air_cavity():
 
 
 def test_ideal_cavity_resonance_at_637(ideal_air_cavity):
-    res = find_resonances(ideal_air_cavity, (630.0, 645.0), scan_step=0.002)
+    res = find_resonances(ideal_air_cavity, (630.0, 645.0))
     assert len(res) == 1
     assert res[0]["lambda_res"] == pytest.approx(637.0, abs=1e-3)
     assert res[0]["Q_cold"] > 1e4
 
 
 def test_empty_window_returns_empty_list(ideal_air_cavity):
-    assert find_resonances(ideal_air_cavity, (650.0, 660.0), scan_step=0.002) == []
+    assert find_resonances(ideal_air_cavity, (650.0, 660.0)) == []
 
 
 def test_edge_abutting_peak_warns(ideal_air_cavity):
     with pytest.warns(UserWarning):
-        find_resonances(ideal_air_cavity, (636.99, 637.5), scan_step=0.002)
+        find_resonances(ideal_air_cavity, (636.99, 637.5))
 
 
 def test_qcold_consistent_with_finesse_route(ideal_air_cavity):
     # Q from the transmission FWHM must agree with lambda/Gamma_lambda
-    res = find_resonances(ideal_air_cavity, (630.0, 645.0), scan_step=0.002)[0]
+    res = find_resonances(ideal_air_cavity, (630.0, 645.0))[0]
     q_direct = res["lambda_res"] / res["cold_linewidth_nm"]
     assert res["Q_cold"] == pytest.approx(q_direct, rel=1e-6)
 
@@ -208,7 +208,7 @@ def baseline_assembly():
 
 @pytest.fixture(scope="module")
 def baseline_resonant(baseline_assembly):
-    res = find_resonances(baseline_assembly, (630.0, 645.0), scan_step=0.002)
+    res = find_resonances(baseline_assembly, (630.0, 645.0))
     assert res, "baseline cavity must resonate near 637 nm"
     lam = min(res, key=lambda d: abs(d["lambda_res"] - 637.0))["lambda_res"]
     return baseline_assembly, lam
@@ -237,7 +237,7 @@ def test_field_profile_rejects_detuned_wavelength(baseline_resonant):
 
 
 def test_field_profile_resonance_check_is_one_linewidth(baseline_assembly):
-    res = find_resonances(baseline_assembly, (630.0, 645.0), scan_step=0.002)[0]
+    res = find_resonances(baseline_assembly, (630.0, 645.0))[0]
     lam, w = res["lambda_res"], res["cold_linewidth_nm"]
     field_profile(baseline_assembly, lam + 0.9 * w)
     with pytest.raises(ResonanceError):
@@ -286,7 +286,7 @@ def test_layer_energies_match_fine_trapezoid(t_d, L, kappa_d):
 
 def test_batched_energies_equal_one_sample_walk(paper_cavity):
     branches = dispersion_map(paper_cavity, np.arange(1500.0, 1801.0, 20.0),
-                              (600.0, 700.0), scan_step=0.005)
+                              (600.0, 700.0))
     L = np.array([s.L for br in branches for s in br.samples])
     lam = np.array([s.lambda_res for br in branches for s in br.samples])
     batched = _layer_energies(paper_cavity, L, lam)
@@ -365,8 +365,7 @@ def test_energies_do_not_depend_on_sample_count(baseline_resonant, samples):
 
 def test_dispersion_branches_monotone(baseline_assembly):
     L_values = np.arange(1900.0, 2101.0, 25.0)
-    branches = dispersion_map(baseline_assembly, L_values, (600.0, 700.0),
-                              scan_step=0.005)
+    branches = dispersion_map(baseline_assembly, L_values, (600.0, 700.0))
     assert branches
     # one branch per mode order of the round-trip phase
     assert len({br.order for br in branches}) == len(branches)
@@ -405,7 +404,7 @@ def test_phase_roots_match_transmission_peaks(paper_cavity, L_values):
     found = {}
     for L in L_values:
         cav = paper_cavity.with_air_gap(L)
-        found[L] = find_resonances(cav, window, step)
+        found[L] = find_resonances(cav, window)
 
         def T(lams):
             return transmission_spectrum(cav.layers(), cav.n_in, cav.n_out, lams)
@@ -421,7 +420,7 @@ def test_phase_roots_match_transmission_peaks(paper_cavity, L_values):
             assert abs(dense[i] - lam) < 1e-5
             wide = lam + np.linspace(-1.5 * w, 1.5 * w, 3001)
             assert w == pytest.approx(_half_max_width(wide, T(wide)), rel=1e-5)
-    branches = dispersion_map(paper_cavity, np.array(L_values), window, step)
+    branches = dispersion_map(paper_cavity, np.array(L_values), window)
     samples = [s for br in branches for s in br.samples]
     assert samples
     for s in samples:
@@ -429,52 +428,76 @@ def test_phase_roots_match_transmission_peaks(paper_cavity, L_values):
 
 
 def test_lockstep_refinement_is_independent_per_peak(paper_cavity):
-    # a dyadic scan step keeps every grid point exact, so a narrow window
-    # brackets each root between the same two wavelengths as the wide one
-    # does, and Newton iterates each root to its own fixed point
-    step = 2.0 ** -8
+    # the bracket lattice is fixed multiples of _SCAN_STEP, so a narrow
+    # window, whatever its start, brackets each root between the same two
+    # wavelengths as the wide one does, and Newton iterates each root to its
+    # own fixed point
     cav = paper_cavity.with_air_gap(4400.0)
-    wide = find_resonances(cav, (600.0, 700.0), step)
+    wide = find_resonances(cav, (600.0, 700.0))
     assert len(wide) >= 3
     for peak in wide:
-        lo = float(np.floor(peak["lambda_res"])) - 1.0
-        alone = find_resonances(cav, (lo, lo + 3.0), step)
-        assert len(alone) == 1
-        assert alone[0]["lambda_res"] == peak["lambda_res"]
-        assert alone[0]["cold_linewidth_nm"] == peak["cold_linewidth_nm"]
+        for offset in (1.0, 1.3, 0.7071, 1.98765):
+            lo = float(np.floor(peak["lambda_res"])) - offset
+            alone = find_resonances(cav, (lo, lo + 3.0))
+            assert len(alone) == 1
+            assert alone[0]["lambda_res"] == peak["lambda_res"]
+            assert alone[0]["cold_linewidth_nm"] == peak["cold_linewidth_nm"]
 
 
 def test_lumped_loss_lowers_q_cold(paper_cavity):
     from dataclasses import replace
     cav = paper_cavity.with_air_gap(1960.0)
     window = (630.0, 645.0)
-    base = find_resonances(cav, window, 0.002)
+    base = find_resonances(cav, window)
     assert base
     zero = replace(cav, top_mirror=replace(cav.top_mirror, lumped_loss=0.0),
                    bottom_mirror=replace(cav.bottom_mirror, lumped_loss=0.0))
-    assert find_resonances(zero, window, 0.002) == base
+    assert find_resonances(zero, window) == base
     lossy = replace(cav, top_mirror=replace(cav.top_mirror, lumped_loss=1e-4))
-    got = find_resonances(lossy, window, 0.002)
+    got = find_resonances(lossy, window)
     assert [r["lambda_res"] for r in got] == [r["lambda_res"] for r in base]
     for g, b in zip(got, base):
         assert g["Q_cold"] < b["Q_cold"]
 
 
-@settings(max_examples=8, deadline=None)
-@given(st.floats(min_value=1500.0, max_value=4500.0))
-def test_resonances_invariant_under_halved_scan_step(paper_cavity, L):
-    # peaks within 0.05 nm of the window edge may fall off either grid
-    window = (630.0, 645.0)
-    cav = paper_cavity.with_air_gap(L)
+@settings(max_examples=12, deadline=None)
+@given(st.floats(min_value=450.0, max_value=990.0),
+       st.floats(min_value=5.0, max_value=60.0),
+       st.floats(min_value=300.0, max_value=6000.0),
+       st.sampled_from([0.0, 770.0]))
+def test_roots_do_not_depend_on_the_bracket_lattice(paper_cavity, lo, width, L, t_d):
+    # windows inside and outside the DBR stop band (~568-706 nm), with and
+    # without a membrane: the 5 pm lattice only brackets the phase roots, so
+    # a 1 pm lattice finds the same ones, and none lies outside the window
+    cav = assemble_cavity(paper_cavity.bottom_mirror, t_d, L, paper_cavity.top_mirror,
+                          R_um=16.0)
+    window = (lo, lo + width)
 
-    def interior(step):
+    def roots():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = find_resonances(cav, window, step)
-        return [r["lambda_res"] for r in res
-                if window[0] + 0.05 < r["lambda_res"] < window[1] - 0.05]
+            return np.array([r["lambda_res"] for r in find_resonances(cav, window)])
 
-    coarse, fine = interior(0.004), interior(0.002)
-    assert len(coarse) == len(fine)
-    # both grids only bracket the same phase roots
-    assert np.allclose(coarse, fine, rtol=0.0, atol=1e-9)
+    coarse = roots()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tmm, "_SCAN_STEP", 0.001)
+        fine = roots()
+    assert coarse.size == fine.size
+    np.testing.assert_allclose(coarse, fine, rtol=0.0, atol=1e-9)
+    assert np.all((coarse >= window[0]) & (coarse <= window[1]))
+
+
+def test_fold_pairs_split_into_branches(paper_cavity):
+    # past the stop band one order can close twice at one L; each branch
+    # must still hold one root per L, so every slope is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # window-edge peaks
+        warnings.simplefilter("error", RuntimeWarning)  # np.gradient over a repeated L
+        branches = dispersion_map(paper_cavity, np.arange(1500.0, 2201.0, 20.0),
+                                  (560.0, 760.0))
+    assert len(branches) > len({br.order for br in branches})  # some order folds
+    for br in branches:
+        L = np.array([s.L for s in br.samples])
+        assert L.size >= 2 and np.all(np.diff(L) > 0)
+        assert np.all(np.isfinite(br.lambda_values))
+        assert np.all(np.isfinite([s.slope for s in br.samples]))
