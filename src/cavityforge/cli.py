@@ -29,7 +29,7 @@ from .cqed import DomainError, RatesMeasurement, coupling_report
 from .fits import DecayHistogram, FitError, XYSeries, fit_gaussian, fit_lifetime, \
     fit_lorentzian, fit_voigt, g2_pulse_areas
 from .gaussian import transverse_offsets
-from .stack import GeometryError, emitter_rates
+from .stack import GeometryError, _paraxial_length_um, emitter_rates
 from .tmm import ResonanceError, dispersion_map
 
 EXIT_OK = 0
@@ -113,7 +113,7 @@ def cmd_dispersion(args) -> int:
             # lambda_0 - slope * delta_L_k
             for s in br.samples:
                 dLs = transverse_offsets(cfg.cavity.curvature_radius_um,
-                                         (s.L + cfg.cavity.t_d) * 1e-3,
+                                         _paraxial_length_um(cfg.cavity.t_d, s.L),
                                          s.lambda_res, args.max_transverse_order)
                 for k in range(1, args.max_transverse_order + 1):
                     rows.append((s.L, bid, s.lambda_res - s.slope * dLs[k],

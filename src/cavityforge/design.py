@@ -133,8 +133,8 @@ def evaluate_design(t_d_nm: float, L_nm: float, terminations, e: EmitterSpec,
     from one solve: field, vacuum field, g, kappa, Purcell, eta.
 
     The points differ only in termination and termination_consistent.  The
-    cavity uses design_mirrors at the emitter's ZPL and the waist of the
-    mirror geometry.  kappa is 2 g at every point (eta_zpl alone only falls
+    cavity uses design_mirrors at the emitter's ZPL, a membrane of the
+    emitter's host_index and the waist of the mirror geometry.  kappa is 2 g at every point (eta_zpl alone only falls
     as kappa grows, so it sets no optimum of its own); eta_zpl is scored at
     ETA_DEBYE_WALLER and the transform limit at the emitter's own
     debye_waller.  A geometry without a resonant mode (no resonance,
@@ -148,7 +148,7 @@ def evaluate_design(t_d_nm: float, L_nm: float, terminations, e: EmitterSpec,
     bottom, top = design_mirrors(lam)
     try:
         asm, prof, _, rep = cavity_mode(
-            assemble_cavity(bottom, t_d_nm, L_nm, top, R_um), lam)
+            assemble_cavity(bottom, t_d_nm, L_nm, top, R_um, n_d=e.host_index), lam)
     except (ResonanceError, GeometryError) as exc:
         return [DesignPoint(t_d_nm, L_nm, term, reason=f"{type(exc).__name__}: {exc}")
                 for term in terminations]

@@ -64,7 +64,6 @@ class FitError(RuntimeError):
 class XYSeries:
     x: np.ndarray
     y: np.ndarray
-    y_err: Optional[np.ndarray] = None
     x_unit: str = ""
     y_unit: str = ""
 
@@ -77,11 +76,6 @@ class XYSeries:
             raise ValueError("x and y lengths differ")
         if not np.all(np.diff(x) > 0):
             raise ValueError("x must be strictly increasing")
-        if self.y_err is not None:
-            err = np.asarray(self.y_err, dtype=float)
-            object.__setattr__(self, "y_err", err)
-            if err.shape != x.shape:
-                raise ValueError("y_err length differs")
 
 
 @dataclass
@@ -277,15 +271,9 @@ def gaussian(x, center, fwhm, amplitude, offset):
     return offset + amplitude * np.exp(-((x - center) ** 2) / (2.0 * sigma ** 2))
 
 
-def _weights(data: XYSeries) -> np.ndarray:
-    if data.y_err is not None:
-        return 1.0 / np.maximum(data.y_err, 1e-300)
-    return np.ones_like(data.y)
-
-
 def fit_voigt(data: XYSeries) -> FitResult:
     """Fit a Voigt peak; Gaussian and Lorentzian FWHMs reported separately."""
-    x, y, w = data.x, data.y, _weights(data)
+    x, y = data.x, data.y
     c0, a0, w0, off0 = _peak_moments(x, y)
     if x.size < 7 or w0 <= 0:
         raise FitError("need >= 7 points spanning the peak")
@@ -294,7 +282,7 @@ def fit_voigt(data: XYSeries) -> FitResult:
     hi = [x[-1] + (x[-1] - x[0]), np.inf, np.inf, np.inf, np.inf]
 
     def resid(p):
-        return w * (voigt_profile(x, *p) - y)
+        return voigt_profile(x, *p) - y
 
     out = _solve(resid, p0, ["center", "amplitude", "fwhm_g", "fwhm_l", "offset"],
                  bounds=(lo, hi))
@@ -304,14 +292,14 @@ def fit_voigt(data: XYSeries) -> FitResult:
 
 
 def _fit_peak(data: XYSeries, model, names) -> FitResult:
-    x, y, w = data.x, data.y, _weights(data)
+    x, y = data.x, data.y
     c0, a0, w0, off0 = _peak_moments(x, y)
     p0 = np.array([c0, w0, a0, off0])
     lo = [x[0] - (x[-1] - x[0]), 0.0, 0.0, -np.inf]
     hi = [x[-1] + (x[-1] - x[0]), np.inf, np.inf, np.inf]
 
     def resid(p):
-        return w * (model(x, *p) - y)
+        return model(x, *p) - y
 
     out = _solve(resid, p0, names, bounds=(lo, hi))
     span = np.ptp(y)
@@ -352,7 +340,10 @@ def exp_gauss_decay(t, tau, amplitude, baseline, sigma):
 
 
 def fit_lifetime(h: DecayHistogram) -> FitResult:
-    """Poisson-weighted exGaussian fit of bins with t >= fit_window_start."""
+    """Poisson-weighted exGaussian fit of bins with t >= fit_window_start.
+
+    tau is bounded below by 1e-3 max(bin width, IRF sigma); a fit that ends
+    there is degenerate and not converged."""
     mask = h.t_ns >= h.fit_window_start_ns
     if not mask.any():
         raise FitError("fit window excludes all bins")
@@ -370,6 +361,9 @@ def fit_lifetime(h: DecayHistogram) -> FitResult:
     tau0 = float(t[above][-1] - t[0]) if above.any() else float(t[-1] - t[0]) / 3.0
     bin_ns = float(np.mean(np.diff(t)))
     tau0 = max(tau0, bin_ns)
+    # tau's lower bound, the resolution floor: a decay far faster than both
+    # a bin and the IRF is not identifiable
+    floor = 1e-3 * max(bin_ns, h.irf_sigma_ns)
 
     def resid(p):
         tau, amp, base = p
@@ -377,12 +371,10 @@ def fit_lifetime(h: DecayHistogram) -> FitResult:
 
     out = _solve(resid, np.array([tau0, amp0, base0]),
                  ["tau_ns", "amplitude", "baseline"],
-                 bounds=([1e-6, 0.0, 0.0], [np.inf, np.inf, np.inf]))
-    if out.params["tau_ns"] <= 2e-6:
-        out.notes.append("tau pinned at lower bound")
-        out.converged = False
-    if out.params["tau_ns"] < 1e-3 * max(bin_ns, h.irf_sigma_ns):
+                 bounds=([floor, 0.0, 0.0], [np.inf, np.inf, np.inf]))
+    if out.params["tau_ns"] <= floor:
         out.degenerate = True
+        out.converged = False
         out.notes.append("tau far below the time resolution; not identifiable")
     return out
 

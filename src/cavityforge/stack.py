@@ -74,6 +74,12 @@ def build_dbr(spec: MirrorSpec) -> list[Layer]:
     return layers
 
 
+def _paraxial_length_um(t_d: float, L: float) -> float:
+    """Mirror separation in um of a membrane t_d and an air gap L (nm), the
+    length the Gaussian-optics formulas take."""
+    return (t_d + L) * 1e-3
+
+
 @dataclass(frozen=True)
 class CavityAssembly:
     bottom_mirror: MirrorSpec
@@ -84,7 +90,7 @@ class CavityAssembly:
     transverse_waist_fwhm_um: Optional[float] = None  # measured-intensity-FWHM override
 
     def __post_init__(self):
-        total_um = (self.diamond.thickness + self.air_gap.thickness) * 1e-3
+        total_um = self.geometric_length_um()
         if total_um >= self.curvature_radius_um:
             raise GeometryError(
                 f"unstable geometry: L + t_d = {total_um:.3f} um >= "
@@ -121,7 +127,7 @@ class CavityAssembly:
 
     def geometric_length_um(self) -> float:
         """Physical mirror separation entering the Gaussian-optics formulas."""
-        return (self.diamond.thickness + self.air_gap.thickness) * 1e-3
+        return _paraxial_length_um(self.t_d, self.L)
 
 
 def assemble_cavity(bottom: MirrorSpec, t_d: float, L: float, top: MirrorSpec,

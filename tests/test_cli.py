@@ -263,11 +263,11 @@ def test_report_missing_emitter_exits_2(tmp_path):
 
 
 def test_report_honours_membrane_index(tmp_path):
-    # the air gap is tuned for the configured n_d, not for the default 2.41
+    # the air gap is tuned for the emitter's host_index, the one diamond index
     from cavityforge.config import paper_baseline_dict, parse_config
     from cavityforge.tmm import find_resonances
     doc = paper_baseline_dict()
-    doc["cavity"]["n_d"] = 2.0
+    doc["emitter"]["host_index"] = 2.0
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(doc))
     out, base = tmp_path / "r.json", tmp_path / "base.json"
@@ -276,8 +276,43 @@ def test_report_honours_membrane_index(tmp_path):
     L = json.loads(out.read_text())["cavity"]["L_tuned_nm"]
     assert L != json.loads(base.read_text())["cavity"]["L_tuned_nm"]
     asm = parse_config(doc).cavity.with_air_gap(L)
+    assert asm.diamond.n == 2.0
     peaks = [r["lambda_res"] for r in find_resonances(asm, (636.0, 638.0))]
     assert min(abs(lam - 637.0) for lam in peaks) < 1e-6
+
+
+def test_design_honours_membrane_index(tmp_path):
+    # design builds its membrane at the emitter's host_index too
+    import csv
+    from cavityforge.config import paper_baseline_dict
+    from cavityforge.design import DESIGN_RADIUS_UM, design_mirrors
+    from cavityforge.stack import assemble_cavity
+    from cavityforge.tmm import find_resonances
+    doc = paper_baseline_dict()
+    doc["emitter"]["host_index"] = 2.0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    single = ["--single", "t_d_nm=132", "L_nm=640.43"]
+    out, base = tmp_path / "d.csv", tmp_path / "base.csv"
+    assert _run(["design", "--config", str(cfg), *single, "-o", str(out)]) == 0
+    assert _run(["design", "--paper-baseline", *single, "-o", str(base)]) == 0
+    row, = csv.DictReader(out.open())
+    L = float(row["L_tuned_nm"])
+    assert L != float(next(csv.DictReader(base.open()))["L_tuned_nm"])
+    asm = assemble_cavity(design_mirrors(637.0)[0], 132.0, L, design_mirrors(637.0)[1],
+                          DESIGN_RADIUS_UM, n_d=2.0)
+    peaks = [r["lambda_res"] for r in find_resonances(asm, (636.0, 638.0))]
+    assert min(abs(lam - 637.0) for lam in peaks) < 1e-5
+
+
+def test_config_membrane_index_key_is_gone(tmp_path, capsys):
+    from cavityforge.config import paper_baseline_dict
+    doc = paper_baseline_dict()
+    doc["cavity"]["n_d"] = 2.41
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert _run(["report", "--config", str(cfg), "-o", str(tmp_path / "r.json")]) == 2
+    assert "cavity: unknown keys ['n_d']" in capsys.readouterr().err
 
 
 def test_report_rates_outside_domain_exit_3(tmp_path):
@@ -402,6 +437,32 @@ def test_config_value_of_the_wrong_type_exits_2(command, block, key, value, tmp_
     cfg.write_text(json.dumps(doc))
     assert _run([command, "--config", str(cfg), "-o", str(tmp_path / "out")]) == 2
     assert f"{block}.{key} must be" in capsys.readouterr().err
+
+
+_MIRROR_NUMBERS = ("pairs", "center_wavelength_nm", "n_high", "n_low", "substrate_index",
+                   "lumped_loss")
+_NUMERIC_KEYS = [("cavity", "bottom_mirror", k) for k in _MIRROR_NUMBERS] + \
+    [("cavity", "top_mirror", k) for k in _MIRROR_NUMBERS] + \
+    [("cavity", k) for k in ("t_d_nm", "L_nm", "R_um", "waist_fwhm_um")] + \
+    [("emitter", k) for k in ("zpl_wavelength_nm", "bulk_lifetime_ns", "host_index",
+                              "debye_waller", "depth_nm", "dipole_orientation_factor")]
+
+
+@pytest.mark.parametrize("path", _NUMERIC_KEYS, ids=".".join)
+@pytest.mark.parametrize("value", [True, "1", float("nan"), float("inf")],
+                         ids=["true", "string", "nan", "inf"])
+def test_config_number_that_is_not_a_finite_number_exits_2(path, value, tmp_path, capsys):
+    # every number of the mirror, cavity and emitter blocks is read strictly
+    from cavityforge.config import paper_baseline_dict
+    doc = paper_baseline_dict()
+    block = doc
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert _run(["report", "--config", str(cfg), "-o", str(tmp_path / "r.json")]) == 2
+    assert f"error: {'.'.join(path)} must be a " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", [
