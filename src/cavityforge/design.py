@@ -134,12 +134,13 @@ def evaluate_design(t_d_nm: float, L_nm: float, terminations, e: EmitterSpec,
 
     The points differ only in termination and termination_consistent.  The
     cavity uses design_mirrors at the emitter's ZPL, a membrane of the
-    emitter's host_index and the waist of the mirror geometry.  kappa is 2 g at every point (eta_zpl alone only falls
-    as kappa grows, so it sets no optimum of its own); eta_zpl is scored at
-    ETA_DEBYE_WALLER and the transform limit at the emitter's own
-    debye_waller.  A geometry without a resonant mode (no resonance,
-    unstable, no diamond) gives invalid points with the reason.  An
-    unknown termination raises ValueError before any solve.
+    emitter's host_index and the waist of the mirror geometry.  kappa is
+    2 g at every point (eta_zpl alone only falls as kappa grows, so it sets
+    no optimum of its own); eta_zpl is scored at ETA_DEBYE_WALLER and the
+    transform limit at the emitter's own debye_waller.  A geometry without
+    a resonant mode (no resonance, unstable, no diamond) gives invalid
+    points with the reason.  An unknown termination raises ValueError
+    before any solve.
     """
     for term in terminations:
         if term not in TERMINATIONS:

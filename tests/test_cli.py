@@ -299,8 +299,8 @@ def test_design_honours_membrane_index(tmp_path):
     row, = csv.DictReader(out.open())
     L = float(row["L_tuned_nm"])
     assert L != float(next(csv.DictReader(base.open()))["L_tuned_nm"])
-    asm = assemble_cavity(design_mirrors(637.0)[0], 132.0, L, design_mirrors(637.0)[1],
-                          DESIGN_RADIUS_UM, n_d=2.0)
+    bottom, top = design_mirrors(637.0)
+    asm = assemble_cavity(bottom, 132.0, L, top, DESIGN_RADIUS_UM, n_d=2.0)
     peaks = [r["lambda_res"] for r in find_resonances(asm, (636.0, 638.0))]
     assert min(abs(lam - 637.0) for lam in peaks) < 1e-5
 

@@ -279,7 +279,7 @@ def test_lifetime_far_below_the_resolution_is_degenerate():
     c = 5.0 + 1e4 * np.exp(-t ** 2 / 0.08)
     out = fit_lifetime(DecayHistogram(t, c, irf_sigma_ns=0.2, fit_window_start_ns=0.0))
     assert out.params["tau_ns"] == 1e-3 * 0.2
-    assert out.iterations < fits.MAX_ITER * 4
+    assert out.iterations < fits.MAX_ITER * (3 + 1)   # the budget of a 3-parameter fit
     assert out.degenerate
     assert "tau far below the time resolution; not identifiable" in out.notes
     assert not out.converged
