@@ -141,7 +141,7 @@ def cmd_report(args) -> int:
         rates = RatesMeasurement(m["gamma_on_per_s"], m["gamma_off_per_s"],
                                  emitter_rates(e)["gamma_bulk"],
                                  m.get("dw_assumed", e.debye_waller))
-    rep = coupling_report(
+    doc = coupling_report(
         gamma_bulk=emitter_rates(e)["gamma_bulk"],
         lam_nm=lam,
         n_host=e.host_index,
@@ -151,7 +151,6 @@ def cmd_report(args) -> int:
         xi=e.dipole_orientation_factor,
         rates=rates,
     )
-    doc = rep.as_dict()
     doc["cavity"] = {
         "L_tuned_nm": asm.L,
         "t_d_nm": asm.t_d,
@@ -207,44 +206,32 @@ def _read_csv(path: str):
 
 
 def cmd_fit(args) -> int:
+    """Write the fit of args.data as JSON; exit 4 when it did not converge."""
     header, x, y = _read_csv(args.data)
-    if args.kind in ("voigt", "lorentzian", "gaussian"):
-        series = XYSeries(x, y, x_unit=header[0], y_unit=header[1])
-        fit = {"voigt": fit_voigt, "lorentzian": fit_lorentzian,
-               "gaussian": fit_gaussian}[args.kind]
-        result = fit(series)
-        doc = result.as_dict()
-        doc["kind"] = args.kind
-        doc["x_unit"], doc["y_unit"] = header
-        _write_json(doc, args.output)
-        return EXIT_OK if result.converged else EXIT_NOCONV
-    if args.kind == "lifetime":
+    if args.kind == "g2":
+        # peak-area normalization, no iterative solve
+        out = g2_pulse_areas(XYSeries(x, y, x_unit=header[0], y_unit=header[1]),
+                             args.period_ns, args.window_ns, args.norm_delay_ns)
+        doc = {
+            "g2_zero": out["g2_zero"],
+            "normalization_area": out["normalization_area"],
+            "pulse_period_ns": args.period_ns,
+            "window_ns": args.window_ns,
+            "areas": {str(k): v for k, v in sorted(out["areas"].items())},
+        }
+    elif args.kind == "lifetime":
         h = DecayHistogram(x, y, irf_sigma_ns=args.irf_sigma_ns,
                            fit_window_start_ns=args.window_start_ns)
-        result = fit_lifetime(h)
-        doc = result.as_dict()
-        doc["kind"] = "lifetime"
-        doc["x_unit"], doc["y_unit"] = header
-        doc["irf_sigma_ns"] = args.irf_sigma_ns
-        doc["fit_window_start_ns"] = args.window_start_ns
-        _write_json(doc, args.output)
-        return EXIT_OK if result.converged else EXIT_NOCONV
-    # g2: peak-area normalization, no iterative solve
-    series = XYSeries(x, y, x_unit=header[0], y_unit=header[1])
-    out = g2_pulse_areas(series, args.period_ns, args.window_ns,
-                         args.norm_delay_ns)
-    doc = {
-        "kind": "g2",
-        "x_unit": header[0],
-        "y_unit": header[1],
-        "g2_zero": out["g2_zero"],
-        "normalization_area": out["normalization_area"],
-        "pulse_period_ns": args.period_ns,
-        "window_ns": args.window_ns,
-        "areas": {str(k): v for k, v in sorted(out["areas"].items())},
-    }
+        doc = {**fit_lifetime(h).as_dict(), "irf_sigma_ns": args.irf_sigma_ns,
+               "fit_window_start_ns": args.window_start_ns}
+    else:
+        fit = {"voigt": fit_voigt, "lorentzian": fit_lorentzian,
+               "gaussian": fit_gaussian}[args.kind]
+        doc = fit(XYSeries(x, y, x_unit=header[0], y_unit=header[1])).as_dict()
+    doc["kind"] = args.kind
+    doc["x_unit"], doc["y_unit"] = header
     _write_json(doc, args.output)
-    return EXIT_OK
+    return EXIT_OK if doc.get("converged", True) else EXIT_NOCONV
 
 
 # -------------------------------------------------------------------- design
@@ -287,6 +274,11 @@ def _parse_single(tokens: list, emitter) -> tuple:
 
 def cmd_design(args) -> int:
     """Write the design table; --single is a one-point sweep."""
+    grid_flags = [flag for flag, v in (("--t-d-nm", args.t_d_nm), ("--l-nm", args.l_nm),
+                                       ("--terminations", args.terminations))
+                  if v is not None]
+    if args.single and grid_flags:
+        raise ConfigError(f"--single takes no grid flags, got {' '.join(grid_flags)}")
     cfg = _load_run_config(args) if (args.config or args.paper_baseline) else None
     emitter = cfg.emitter if cfg else parse_config(paper_baseline_dict()).emitter
     sweep_cfg = cfg.sweep if cfg else {}
@@ -379,16 +371,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("fit", help="fit a CSV dataset")
-    _add_output_arg(p)
-    p.add_argument("kind", choices=["voigt", "lorentzian", "gaussian",
-                                    "lifetime", "g2"])
-    p.add_argument("data", help="two-column CSV with unit-declaring header")
-    p.add_argument("--irf-sigma-ns", type=float, default=0.2)
-    p.add_argument("--window-start-ns", type=float, default=3.0)
-    p.add_argument("--period-ns", type=float, default=100.0)
-    p.add_argument("--window-ns", type=float, default=20.0)
-    p.add_argument("--norm-delay-ns", type=float, default=None)
     p.set_defaults(func=cmd_fit)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    fit_kinds = {}
+    for kind in ("voigt", "lorentzian", "gaussian", "lifetime", "g2"):
+        fit_kinds[kind] = k = kinds.add_parser(kind)
+        k.add_argument("data", help="two-column CSV with unit-declaring header")
+        _add_output_arg(k)
+    k = fit_kinds["lifetime"]
+    k.add_argument("--irf-sigma-ns", type=float, default=0.2)
+    k.add_argument("--window-start-ns", type=float, default=3.0)
+    k = fit_kinds["g2"]
+    k.add_argument("--period-ns", type=float, default=100.0)
+    k.add_argument("--window-ns", type=float, default=20.0)
+    k.add_argument("--norm-delay-ns", type=float, default=None)
 
     p = sub.add_parser("design", help="evaluate membrane/air-gap design points")
     _add_config_args(p)

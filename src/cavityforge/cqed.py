@@ -9,7 +9,7 @@ stated per function.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,35 +31,6 @@ class RatesMeasurement:
     def __post_init__(self):
         if not (self.gamma_on > self.gamma_off > 0):
             raise DomainError("need gamma_on > gamma_off > 0")
-
-
-@dataclass(frozen=True)
-class CouplingReport:
-    dipole_Cm: float
-    dipole_over_e_nm: float
-    g_rad_s: float
-    kappa_s: float
-    Q: float
-    finesse: float
-    F_P_zpl_theory: float
-    F_P_total: Optional[float]
-    eta_zpl: Optional[float]
-    transform_limit_hz: Optional[float]
-    inputs: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "dipole": {"value_Cm": self.dipole_Cm, "d_over_e_nm": self.dipole_over_e_nm},
-            "g_rad_per_s": self.g_rad_s,
-            "kappa_per_s": self.kappa_s,
-            "Q": self.Q,
-            "finesse": self.finesse,
-            "F_P_zpl_theory": self.F_P_zpl_theory,
-            "F_P_total": self.F_P_total,
-            "eta_zpl": self.eta_zpl,
-            "transform_limit_hz": self.transform_limit_hz,
-            "inputs": self.inputs,
-        }
 
 
 def dipole_from_lifetime(gamma_bulk: float, lam_nm: float, n_host: float) -> float:
@@ -161,8 +132,10 @@ def transform_limit(F_zpl: float, gamma_zpl: float, gamma_psb: float) -> float:
 def coupling_report(gamma_bulk: float, lam_nm: float, n_host: float,
                     E_vac: float, Gamma_L_pm: float, dlambda_dL: float,
                     xi: float = 1.0,
-                    rates: Optional[RatesMeasurement] = None) -> CouplingReport:
-    """Full chain: dipole -> g, linewidth conversions -> kappa, Purcell, eta."""
+                    rates: Optional[RatesMeasurement] = None) -> dict:
+    """Full chain: dipole -> g, linewidth conversions -> kappa, Purcell, eta,
+    as the nested dict report writes (F_P_total, eta_zpl and
+    transform_limit_hz are None without rates)."""
     d = dipole_from_lifetime(gamma_bulk, lam_nm, n_host)
     g = coupling_rate(d, E_vac, xi)
     conv = linewidth_conversions(Gamma_L_pm, dlambda_dL, lam_nm)
@@ -175,18 +148,17 @@ def coupling_report(gamma_bulk: float, lam_nm: float, n_host: float,
         gamma_zpl = rates.dw_assumed * rates.gamma_bulk
         gamma_tf = transform_limit(alg["F_P_zpl_measured"], gamma_zpl,
                                    rates.gamma_bulk - gamma_zpl)
-    return CouplingReport(
-        dipole_Cm=d,
-        dipole_over_e_nm=d / CONSTANTS.e_charge * 1e9,
-        g_rad_s=g,
-        kappa_s=conv["kappa_per_s"],
-        Q=conv["Q"],
-        finesse=conv["finesse"],
-        F_P_zpl_theory=F_theory,
-        F_P_total=F_total,
-        eta_zpl=eta,
-        transform_limit_hz=gamma_tf,
-        inputs={
+    return {
+        "dipole": {"value_Cm": d, "d_over_e_nm": d / CONSTANTS.e_charge * 1e9},
+        "g_rad_per_s": g,
+        "kappa_per_s": conv["kappa_per_s"],
+        "Q": conv["Q"],
+        "finesse": conv["finesse"],
+        "F_P_zpl_theory": F_theory,
+        "F_P_total": F_total,
+        "eta_zpl": eta,
+        "transform_limit_hz": gamma_tf,
+        "inputs": {
             "gamma_bulk_per_s": gamma_bulk,
             "wavelength_nm": lam_nm,
             "host_index": n_host,
@@ -195,4 +167,4 @@ def coupling_report(gamma_bulk: float, lam_nm: float, n_host: float,
             "dlambda_dL": dlambda_dL,
             "xi": xi,
         },
-    )
+    }

@@ -9,6 +9,7 @@ substrate interface.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -55,6 +56,16 @@ class MirrorSpec:
             raise GeometryError(f"lumped_loss must be in [0, 1), got {self.lumped_loss}")
         if self.center_wavelength <= 0:
             raise GeometryError("center_wavelength must be positive")
+        for name in ("n_high", "n_low", "substrate_index"):
+            if getattr(self, name) < 1.0:
+                raise GeometryError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # the field behind N pairs grows as (n_high / n_low)^N at the stop
+        # band's centre, and the energy integrals take its square: keep that
+        # square inside the float range
+        ratio = self.n_high / self.n_low
+        if 2 * self.pairs * abs(math.log(ratio)) >= math.log(sys.float_info.max):
+            raise GeometryError(f"{self.pairs} mirror pairs square to more than the float "
+                                f"range at n_high / n_low = {ratio:.6g}")
 
 
 def build_dbr(spec: MirrorSpec) -> list[Layer]:
@@ -151,6 +162,8 @@ class EmitterSpec:
     dipole_orientation_factor: float = 1.0
 
     def __post_init__(self):
+        if not self.zpl_wavelength > 0:
+            raise ValueError(f"zpl_wavelength must be positive, got {self.zpl_wavelength}")
         if not (0.0 < self.debye_waller < 1.0):
             raise ValueError(f"debye_waller must be in (0, 1), got {self.debye_waller}")
         if self.bulk_lifetime_ns <= 0:

@@ -20,7 +20,6 @@ the vacuum field all come from those energies.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -198,27 +197,20 @@ def _scan_grid(lam_window: tuple[float, float]) -> np.ndarray:
     return np.concatenate([[lo], k[(k > lo) & (k < hi)], [hi]])
 
 
-@dataclass
-class _Roots:
-    index: np.ndarray     # into the L values
-    lam: np.ndarray       # nm
-    order: np.ndarray     # mode order m, counted from the grid's first point
-    width: np.ndarray     # cold FWHM, nm
-
-
 def _phase_roots(assembly: CavityAssembly, lam_window: tuple[float, float],
-                 L_values: np.ndarray) -> _Roots:
+                 L_values: np.ndarray):
     """Resonances of the assembly at every air gap in L_values: the roots
     in lambda of phi(lam; L) = 2 pi m in lam_window, in order of L, then
-    of lambda.
+    of lambda, as arrays (index into L_values, lambda in nm, mode order m
+    counted from the grid's first point, cold FWHM in nm).
 
     The mirror product z comes once, on the _scan_grid lattice, far finer
     than a free spectral range.  Each L brackets its 2 pi m crossings
     between adjacent grid points; then Newton steps on the exact mirror
     matrices refine all roots in lock-step, each until its step stops
     shrinking (a fixed point).  A root's iteration reads only its own
-    bracket, so it does not depend on the window.  Roots within five
-    linewidths of the window edge warn.
+    bracket, so it does not depend on the window, and a root next to the
+    window's edge is as exact as any other.
     """
     grid = _scan_grid(lam_window)
     z_grid = _round_trip(assembly, grid)
@@ -263,11 +255,7 @@ def _phase_roots(assembly: CavityAssembly, lam_window: tuple[float, float],
         lam[live] -= step
         last[live] = np.abs(step)
         live = live[step != 0.0]
-    width = _fwhm_phase(assembly, z) / np.abs(slope)
-    lo, hi = lam_window
-    for edge in lam[(lam - lo < 5.0 * width) | (hi - lam < 5.0 * width)]:
-        warnings.warn(f"transmission peak at {edge:.3f} nm abuts the window edge")
-    return _Roots(index, lam, order, width)
+    return index, lam, order, _fwhm_phase(assembly, z) / np.abs(slope)
 
 
 def find_resonances(assembly: CavityAssembly, lam_window: tuple[float, float]) -> list[dict]:
@@ -278,20 +266,18 @@ def find_resonances(assembly: CavityAssembly, lam_window: tuple[float, float]) -
     bottom DBR) and r_t (top DBR) seen from the air gap, found by
     _phase_roots.  The cold linewidth is the closed-form Airy FWHM
     2 (1 - rho) / (sqrt(rho) |dphi/dlam|), rho = |r_b r_t| times the
-    mirrors' lumped-loss factor sqrt((1 - l_b)(1 - l_t)).  Peaks within
-    five linewidths of the window edge raise a warning.
+    mirrors' lumped-loss factor sqrt((1 - l_b)(1 - l_t)).
 
     Returns one dict per resonance: lambda_res (nm), cold_linewidth_nm,
     Q_cold, peak_transmission.  Empty list when no root lies in the window.
     """
-    roots = _phase_roots(assembly, lam_window, np.array([assembly.L]))
-    T0 = transmission_spectrum(assembly.layers(), assembly.n_in, assembly.n_out,
-                               roots.lam)
+    _, lams, _, widths = _phase_roots(assembly, lam_window, np.array([assembly.L]))
+    T0 = transmission_spectrum(assembly.layers(), assembly.n_in, assembly.n_out, lams)
     return [{"lambda_res": float(lam),
              "cold_linewidth_nm": float(w),
              "Q_cold": float(lam / w),
              "peak_transmission": float(t0)}
-            for lam, w, t0 in zip(roots.lam, roots.width, T0)]
+            for lam, w, t0 in zip(lams, widths, T0)]
 
 
 _MIN_SAMPLES = 2000  # lower bound on field_profile's sample count over the stack
@@ -419,14 +405,13 @@ def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
                    lam_window: tuple[float, float]) -> list[ModeBranch]:
     """Resonances across an air-gap scan, as branches of fixed mode order.
 
-    At each L the resonances are the phase roots find_resonances returns
-    (edge peaks warn alike), found together for all L.  A branch holds the
-    roots of one mode order m of phi(lam; L) = 2 pi m, one per L.  Past the
-    mirrors' stop band phi need not be monotone in lambda, and one order can
-    close twice at one L (a fold pair): a root then joins the branch of its
-    rank in lambda among its order's roots at that L.  Branches with fewer
-    than two samples are dropped.  Slopes d(lambda)/dL are np.gradient
-    along each branch.
+    At each L the resonances are the phase roots find_resonances returns,
+    found together for all L.  A branch holds the roots of one mode order m
+    of phi(lam; L) = 2 pi m, one per L.  Past the mirrors' stop band phi
+    need not be monotone in lambda, and one order can close twice at one L
+    (a fold pair): a root then joins the branch of its rank in lambda among
+    its order's roots at that L.  Branches with fewer than two samples are
+    dropped.  Slopes d(lambda)/dL are np.gradient along each branch.
 
     A branch's character comes from the exact in-diamond energy fraction
     at its first, middle and last sample, all branches in one
@@ -437,20 +422,20 @@ def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
     if not np.all(np.diff(L_values) > 0):
         raise ValueError("L grid must be strictly increasing")
 
-    roots = _phase_roots(assembly, lam_window, L_values)
+    index, lams, order, _ = _phase_roots(assembly, lam_window, L_values)
     # a branch: one order m, and one rank in lambda among m's roots at each L
     seen, groups = {}, {}
-    for k, key in enumerate(zip(roots.order.tolist(), roots.index.tolist())):
+    for k, key in enumerate(zip(order.tolist(), index.tolist())):
         seen[key] = seen.get(key, -1) + 1
         groups.setdefault((key[0], seen[key]), []).append(k)
     branches = []
     for (m, _), sel in sorted(groups.items()):
         if len(sel) < 2:
             continue
-        Ls, lams = L_values[roots.index[sel]], roots.lam[sel]
-        slopes = np.gradient(lams, Ls)
+        Ls, lam_sel = L_values[index[sel]], lams[sel]
+        slopes = np.gradient(lam_sel, Ls)
         branches.append(ModeBranch([BranchSample(L, float(lam), float(sl))
-                                    for L, lam, sl in zip(Ls, lams, slopes)],
+                                    for L, lam, sl in zip(Ls, lam_sel, slopes)],
                                    order=int(m)))
     _classify_branches(assembly, branches)
     branches.sort(key=lambda b: (b.samples[0].L, b.samples[0].lambda_res))

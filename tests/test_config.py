@@ -96,3 +96,16 @@ def test_mirror_values_are_not_coerced(key, value):
     doc["cavity"]["top_mirror"][key] = value
     with pytest.raises(ConfigError, match=key):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("pairs, ok", [(1030, True), (1031, False)])
+def test_mirror_pairs_bound_comes_from_the_float_range(pairs, ok):
+    # (n_high / n_low)^(2 pairs) reaches the largest float between 1030 and
+    # 1031 pairs of the default 2.06 / 1.46 mirror
+    doc = paper_baseline_dict()
+    doc["cavity"]["top_mirror"]["pairs"] = pairs
+    if ok:
+        assert parse_config(doc).cavity.top_mirror.pairs == pairs
+    else:
+        with pytest.raises(ConfigError, match="cavity.top_mirror: 1031 mirror pairs"):
+            parse_config(doc)

@@ -113,10 +113,9 @@ def test_coupling_report_chain_consistency():
     rep = coupling_report(GAMMA_BULK, 637.0, 2.41, 36.2e3, 60.6, 0.18,
                           rates=RatesMeasurement(158e6, 88.2e6, GAMMA_BULK,
                                                  dw_assumed=0.024))
-    assert rep.F_P_zpl_theory == pytest.approx(
-        4 * rep.g_rad_s ** 2 / (rep.kappa_s * GAMMA_BULK), rel=1e-12)
-    assert 0 < rep.eta_zpl < 1
-    assert rep.dipole_over_e_nm == pytest.approx(0.108, rel=0.01)
-    d = rep.as_dict()
-    assert d["Q"] == pytest.approx(58500, rel=0.005)
-    assert d["inputs"]["xi"] == 1.0
+    assert rep["F_P_zpl_theory"] == pytest.approx(
+        4 * rep["g_rad_per_s"] ** 2 / (rep["kappa_per_s"] * GAMMA_BULK), rel=1e-12)
+    assert 0 < rep["eta_zpl"] < 1
+    assert rep["dipole"]["d_over_e_nm"] == pytest.approx(0.108, rel=0.01)
+    assert rep["Q"] == pytest.approx(58500, rel=0.005)
+    assert rep["inputs"]["xi"] == 1.0

@@ -183,9 +183,16 @@ def test_empty_window_returns_empty_list(ideal_air_cavity):
     assert find_resonances(ideal_air_cavity, (650.0, 660.0)) == []
 
 
-def test_edge_abutting_peak_warns(ideal_air_cavity):
-    with pytest.warns(UserWarning):
-        find_resonances(ideal_air_cavity, (636.99, 637.5))
+def test_edge_root_is_exact_and_silent(ideal_air_cavity):
+    # the 637 nm root, 0.01 nm inside the window's edge, is the root a wide
+    # window finds, bit for bit, and raises no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edge = find_resonances(ideal_air_cavity, (636.99, 637.5))
+    wide = [r for r in find_resonances(ideal_air_cavity, (630.0, 645.0))
+            if 636.99 <= r["lambda_res"] <= 637.5]
+    assert len(edge) == 1
+    assert edge == wide
 
 
 def test_qcold_consistent_with_finesse_route(ideal_air_cavity):
