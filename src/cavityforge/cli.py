@@ -28,7 +28,7 @@ from .config import ConfigError, RunConfig, load_config, paper_baseline_dict, pa
 from .cqed import DomainError, RatesMeasurement, coupling_report
 from .fits import DecayHistogram, FitError, XYSeries, fit_gaussian, fit_lifetime, \
     fit_lorentzian, fit_voigt, g2_pulse_areas
-from .gaussian import transverse_offsets
+from .gaussian import _FWHM_PER_W0, transverse_offsets
 from .stack import GeometryError, _paraxial_length_um, emitter_rates
 from .tmm import ResonanceError, dispersion_map
 
@@ -98,32 +98,27 @@ def cmd_dispersion(args) -> int:
                          args.l_step_nm)
     if L_values.size < 2:
         raise ConfigError("L range must contain at least two samples")
-    branches = dispersion_map(cfg.cavity, L_values, (args.lambda_min_nm, args.lambda_max_nm))
-    if not branches:
+    cols = dispersion_map(cfg.cavity, L_values, (args.lambda_min_nm, args.lambda_max_nm))
+    if not cols["L_nm"].size:
         print("no resonance found in the requested window", file=sys.stderr)
         return EXIT_PHYSICS
 
-    rows = []
-    for bid, br in enumerate(branches):
-        for s in br.samples:
-            rows.append((s.L, bid, s.lambda_res, s.slope, br.character, 0))
-        if args.max_transverse_order > 0:
-            # higher lateral modes: resonance reached after extra mirror
-            # travel set by the Gouy phase, so at fixed L the line sits at
-            # lambda_0 - slope * delta_L_k
-            for s in br.samples:
-                dLs = transverse_offsets(cfg.cavity.curvature_radius_um,
-                                         _paraxial_length_um(cfg.cavity.t_d, s.L),
-                                         s.lambda_res, args.max_transverse_order)
-                for k in range(1, args.max_transverse_order + 1):
-                    rows.append((s.L, bid, s.lambda_res - s.slope * dLs[k],
-                                 s.slope, br.character, k))
-    rows.sort(key=lambda r: (r[0], r[1], r[5]))
-
+    L, lam, slope = cols["L_nm"], cols["lambda_nm"], cols["dlambda_dL"]
+    lam_k = lam[None, :]
+    if args.max_transverse_order > 0:
+        # higher lateral modes: resonance reached after extra mirror travel
+        # set by the Gouy phase, so at fixed L the line sits at
+        # lambda_0 - slope * delta_L_k
+        dL = transverse_offsets(cfg.cavity.curvature_radius_um,
+                                _paraxial_length_um(cfg.cavity.t_d, L), lam,
+                                args.max_transverse_order)
+        lam_k = np.vstack([lam, lam - slope * dL[1:]])
     with _output(args.output) as fh:
         fh.write("L_nm,branch_id,lambda_nm,dlambda_dL,character,transverse_order\n")
-        for L, bid, lam, slope, char, order in rows:
-            fh.write(f"{_fmt(L)},{bid},{_fmt(lam)},{_fmt(slope)},{char},{order}\n")
+        # the columns come sorted by (L, branch id); a root's transverse rows follow it
+        for i, (bid, char) in enumerate(zip(cols["branch_id"], cols["character"])):
+            for k, lam_ik in enumerate(lam_k[:, i]):
+                fh.write(f"{_fmt(L[i])},{bid},{_fmt(lam_ik)},{_fmt(slope[i])},{char},{k}\n")
     return EXIT_OK
 
 
@@ -133,7 +128,7 @@ def cmd_report(args) -> int:
     cfg = _load_run_config(args)
     e = cfg.emitter
     lam = e.zpl_wavelength
-    asm, _, mode, vol = design_mod.cavity_mode(cfg.cavity, lam)
+    asm, _, w0, vac = design_mod.cavity_mode(cfg.cavity, lam)
 
     m = cfg.measured
     rates = None
@@ -145,7 +140,7 @@ def cmd_report(args) -> int:
         gamma_bulk=emitter_rates(e)["gamma_bulk"],
         lam_nm=lam,
         n_host=e.host_index,
-        E_vac=vol.E_vac_max_diamond,
+        E_vac=vac["E_vac_max_diamond_V_per_m"],
         Gamma_L_pm=m.get("Gamma_L_pm", 60.6),
         dlambda_dL=m.get("dlambda_dL", 0.18),
         xi=e.dipole_orientation_factor,
@@ -155,16 +150,11 @@ def cmd_report(args) -> int:
         "L_tuned_nm": asm.L,
         "t_d_nm": asm.t_d,
         "lambda_res_nm": lam,
-        "waist_um": mode.waist_um,
-        "waist_intensity_fwhm_um": mode.intensity_fwhm_um,
+        "waist_um": w0,
+        "waist_intensity_fwhm_um": w0 * _FWHM_PER_W0,
         "waist_source": ("override" if asm.transverse_waist_fwhm_um is not None
                          else "formula"),
-        "A_eff_um2": vol.A_eff_um2,
-        "V_eff_um3": vol.V_eff_um3,
-        "E_vac_max_diamond_V_per_m": vol.E_vac_max_diamond,
-        "E_vac_global_max_V_per_m": vol.E_vac_global_max,
-        "z_max_diamond_nm": vol.z_max_diamond_nm,
-        "z_max_global_nm": vol.z_max_global_nm,
+        **vac,
     }
     _write_json(doc, args.output)
     return EXIT_OK
@@ -297,21 +287,21 @@ def cmd_design(args) -> int:
         if not t_d_values or not L_values:
             raise ConfigError("sweep needs --t-d-nm and --l-nm grids "
                               "(or a config 'sweep' block)")
-    result = design_mod.sweep(t_d_values, L_values, terminations, emitter, R_um=R_um)
+    points, pareto, provenance = design_mod.sweep(t_d_values, L_values, terminations,
+                                                  emitter, R_um=R_um)
 
     columns = [f.name for f in dataclasses.fields(design_mod.DesignPoint)]
     with _output(args.output) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for p in result.points:
+        for p in points:
             writer.writerow([_fmt(getattr(p, c)) for c in columns])
 
     if args.pareto_json:
         _write_json({
-            "provenance": result.provenance,
-            "pareto": [{"index": i,
-                        **{k: getattr(result.points[i], k) for k in _PARETO_FIELDS}}
-                       for i in result.pareto],
+            "provenance": provenance,
+            "pareto": [{"index": i, **{k: getattr(points[i], k) for k in _PARETO_FIELDS}}
+                       for i in pareto],
         }, args.pareto_json)
     return EXIT_OK
 

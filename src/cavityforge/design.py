@@ -62,13 +62,6 @@ class DesignPoint:
     interface_field_ratio: float = np.nan  # |E| there over the sampled maximum of |E|
 
 
-@dataclass
-class SweepResult:
-    points: list
-    pareto: list            # indices into points, non-dominated in (eta max, Q min)
-    provenance: dict
-
-
 def _tune_air_gap(assembly: CavityAssembly, lam: float) -> CavityAssembly:
     """The assembly with the air gap nearest its own L whose resonance sits
     at lam.
@@ -94,19 +87,19 @@ def _tune_air_gap(assembly: CavityAssembly, lam: float) -> CavityAssembly:
 
 def cavity_mode(assembly: CavityAssembly, lam: float):
     """The resonant mode at lam: the assembly with its air gap tuned
-    nearest its own L, its standing wave, the Gaussian transverse mode and
-    the vacuum field.
+    nearest its own L, its standing wave, the Gaussian waist and the
+    vacuum field.
 
-    Returns (assembly, profile, transverse mode, ModeVolumeReport).  The
+    Returns (assembly, profile, waist w0 in um, vacuum_field's dict).  The
     assembly's measured intensity FWHM, when set, sets the waist.  Raises
     ResonanceError or GeometryError, the latter also for a cavity with no
     diamond, whose diamond maximum is undefined.
     """
     asm = _tune_air_gap(assembly, lam)
     prof = field_profile(asm, lam)
-    mode = beam_waist(asm.curvature_radius_um, asm.geometric_length_um(), lam,
-                      asm.transverse_waist_fwhm_um)
-    return asm, prof, mode, vacuum_field(prof, effective_area(mode))
+    w0 = beam_waist(asm.curvature_radius_um, asm.geometric_length_um(), lam,
+                    asm.transverse_waist_fwhm_um)
+    return asm, prof, w0, vacuum_field(prof, effective_area(w0))
 
 
 def _near_interface(asm: CavityAssembly, E: complex, H: complex, lam: float) -> dict:
@@ -148,7 +141,7 @@ def evaluate_design(t_d_nm: float, L_nm: float, terminations, e: EmitterSpec,
     lam = e.zpl_wavelength
     bottom, top = design_mirrors(lam)
     try:
-        asm, prof, _, rep = cavity_mode(
+        asm, prof, _, vac = cavity_mode(
             assemble_cavity(bottom, t_d_nm, L_nm, top, R_um, n_d=e.host_index), lam)
     except (ResonanceError, GeometryError) as exc:
         return [DesignPoint(t_d_nm, L_nm, term, reason=f"{type(exc).__name__}: {exc}")
@@ -157,14 +150,15 @@ def evaluate_design(t_d_nm: float, L_nm: float, terminations, e: EmitterSpec,
     rates = emitter_rates(e)
     gamma = rates["gamma_bulk"]
     g = coupling_rate(dipole_from_lifetime(gamma, lam, e.host_index),
-                      rep.E_vac_max_diamond, e.dipole_orientation_factor)
+                      vac["E_vac_max_diamond_V_per_m"], e.dipole_orientation_factor)
     kappa = 2.0 * g      # the 2 g rule, at every design point
     F = purcell_zpl_theory(g, kappa, gamma)
     g0 = ETA_DEBYE_WALLER * gamma
     E, H = prof.faces[prof.layer_names.index("diamond")]
     point = DesignPoint(
         t_d_nm, L_nm, "", valid=True, reason="ok", L_tuned_nm=asm.L, lambda_res_nm=lam,
-        E_vac_diamond_V_per_m=rep.E_vac_max_diamond, E_vac_global_V_per_m=rep.E_vac_global_max,
+        E_vac_diamond_V_per_m=vac["E_vac_max_diamond_V_per_m"],
+        E_vac_global_V_per_m=vac["E_vac_global_max_V_per_m"],
         g_rad_per_s=g, kappa_per_s=kappa, F_P_zpl=F,
         Q_required=2.0 * np.pi * CONSTANTS.c / (lam * 1e-9) / kappa,
         eta_zpl=F * g0 / (gamma - g0 + F * g0),
@@ -187,11 +181,14 @@ def pareto_indices(points: list) -> list:
 
 
 def sweep(t_d_values, L_values, terminations, emitter: EmitterSpec,
-          R_um: float = DESIGN_RADIUS_UM) -> SweepResult:
+          R_um: float = DESIGN_RADIUS_UM) -> tuple[list, list, dict]:
     """Evaluate the full grid in deterministic order (t_d, then L, then
     termination), one evaluate_design solve per (t_d, L); invalid
-    geometries are kept with their reason.  Raises ResonanceError, with
-    the first point's reason, when no point is valid."""
+    geometries are kept with their reason.
+
+    Returns (points, pareto, provenance): the DesignPoints, pareto_indices
+    of them, and the grid and emitter they came from.  Raises
+    ResonanceError, with the first point's reason, when no point is valid."""
     t_d_values = list(t_d_values)
     L_values = list(L_values)
     terminations = list(terminations)
@@ -203,19 +200,15 @@ def sweep(t_d_values, L_values, terminations, emitter: EmitterSpec,
             points += evaluate_design(t_d, L, terminations, emitter, R_um)
     if not any(p.valid for p in points):
         raise ResonanceError(f"no valid design point in the sweep grid: {points[0].reason}")
-    return SweepResult(
-        points=points,
-        pareto=pareto_indices(points),
-        provenance={
-            "t_d_nm": t_d_values,
-            "L_nm": L_values,
-            "terminations": terminations,
-            "R_um": R_um,
-            "emitter": {
-                "zpl_wavelength_nm": emitter.zpl_wavelength,
-                "bulk_lifetime_ns": emitter.bulk_lifetime_ns,
-                "host_index": emitter.host_index,
-                "debye_waller": emitter.debye_waller,
-            },
+    return points, pareto_indices(points), {
+        "t_d_nm": t_d_values,
+        "L_nm": L_values,
+        "terminations": terminations,
+        "R_um": R_um,
+        "emitter": {
+            "zpl_wavelength_nm": emitter.zpl_wavelength,
+            "bulk_lifetime_ns": emitter.bulk_lifetime_ns,
+            "host_index": emitter.host_index,
+            "debye_waller": emitter.debye_waller,
         },
-    )
+    }

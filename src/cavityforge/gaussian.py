@@ -6,7 +6,6 @@ Waist and Gouy formulas use the plano-concave geometry with the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,69 +17,57 @@ from .tmm import FieldProfile
 _FWHM_PER_W0 = np.sqrt(2.0 * np.log(2.0))  # intensity FWHM = w0 * sqrt(2 ln 2)
 
 
-@dataclass(frozen=True)
-class TransverseMode:
-    waist_um: float              # 1/e^2 amplitude radius w0
-
-    @property
-    def intensity_fwhm_um(self) -> float:
-        return self.waist_um * _FWHM_PER_W0
-
-
-@dataclass(frozen=True)
-class ModeVolumeReport:
-    A_eff_um2: float
-    V_eff_um3: float
-    E_vac_max_diamond: float          # V/m at the diamond-internal field maximum
-    E_vac_global_max: float           # V/m at the global eps-weighted optimum
-    z_max_diamond_nm: float
-    z_max_global_nm: float
-
-
 def waist_from_fwhm(fwhm_um: float) -> float:
     return fwhm_um / _FWHM_PER_W0
 
 
 def beam_waist(R_um: float, geometric_length_um: float, lam_nm: float,
-               waist_fwhm_override_um: Optional[float] = None) -> TransverseMode:
-    """Fundamental-mode waist of the plano-concave resonator.
+               waist_fwhm_override_um: Optional[float] = None) -> float:
+    """Fundamental-mode waist w0 (1/e^2 amplitude radius, um) of the
+    plano-concave resonator.
 
     w0^2 = (lambda/pi) sqrt(Lg (R - Lg)).  A measured intensity-FWHM
     override takes precedence when provided.
     """
     if waist_fwhm_override_um is not None:
-        return TransverseMode(waist_from_fwhm(waist_fwhm_override_um))
+        return waist_from_fwhm(waist_fwhm_override_um)
     Lg = geometric_length_um
     if not (0.0 < Lg < R_um):
         raise GeometryError(f"unstable: need 0 < Lg={Lg} < R={R_um} um")
     lam_um = lam_nm * 1e-3
-    w0 = np.sqrt((lam_um / np.pi) * np.sqrt(Lg * (R_um - Lg)))
-    return TransverseMode(float(w0))
+    return float(np.sqrt((lam_um / np.pi) * np.sqrt(Lg * (R_um - Lg))))
 
 
 def transverse_offsets(R_um: float, geometric_length_um: float, lam_nm: float,
-                       max_order: int) -> list[float]:
-    """Resonance shift (in mirror-travel nm) per transverse order m+n.
+                       max_order: int) -> np.ndarray:
+    """Resonance shift (in mirror-travel nm) per transverse order m+n, an
+    array (order, ...) over the equal-shape geometric_length_um and lam_nm.
 
     Offset_k = k (lambda / 2 pi) arccos(sqrt(1 - Lg/R)); equally spaced
     in the combined order.
     """
-    Lg = geometric_length_um
-    if not (0.0 < Lg < R_um):
-        raise GeometryError(f"unstable: need 0 < Lg={Lg} < R={R_um} um")
+    Lg = np.asarray(geometric_length_um)
+    unstable = np.flatnonzero(~((0.0 < Lg) & (Lg < R_um)))
+    if unstable.size:
+        raise GeometryError(f"unstable: need 0 < Lg={Lg.flat[unstable[0]]} < R={R_um} um")
     step = (lam_nm / (2.0 * np.pi)) * np.arccos(np.sqrt(1.0 - Lg / R_um))
-    return [k * float(step) for k in range(max_order + 1)]
+    return np.multiply.outer(np.arange(max_order + 1), step)
 
 
-def effective_area(mode: TransverseMode) -> float:
-    """Transverse mode area in um^2: integral of exp(-2 r^2/w0^2) -> pi w0^2 / 2."""
-    if mode.waist_um <= 0:
+def effective_area(w0: float) -> float:
+    """Transverse mode area in um^2 of the waist w0 (um): integral of
+    exp(-2 r^2/w0^2) -> pi w0^2 / 2."""
+    if w0 <= 0:
         raise ValueError("waist must be positive")
-    return np.pi * mode.waist_um ** 2 / 2.0
+    return np.pi * w0 ** 2 / 2.0
 
 
-def vacuum_field(profile: FieldProfile, A_eff_um2: float) -> ModeVolumeReport:
-    """Vacuum-field normalization of a resonant standing-wave profile.
+def vacuum_field(profile: FieldProfile, A_eff_um2: float) -> dict:
+    """Vacuum-field normalization of a resonant standing-wave profile, as
+    the dict report writes under "cavity": A_eff_um2, V_eff_um3,
+    E_vac_max_diamond_V_per_m (at the diamond-internal field maximum),
+    E_vac_global_max_V_per_m (at the global optimum), z_max_diamond_nm and
+    z_max_global_nm.
 
     V_eff = A_eff * int eps_r(z) |f(z)|^2 dz / (eps_r(z*) |f(z*)|^2) with z*
     the diamond-internal field maximum; E_vac(z*) = sqrt(hbar w / (2 eps0
@@ -115,11 +102,11 @@ def vacuum_field(profile: FieldProfile, A_eff_um2: float) -> ModeVolumeReport:
     e_d, e_g = evac_at(i_d), evac_at(i_g)
 
     V_eff_um3 = A_eff_um2 * (integral * 1e-3) / (eps[i_d] * amp[i_d] ** 2)
-    return ModeVolumeReport(
-        A_eff_um2=float(A_eff_um2),
-        V_eff_um3=float(V_eff_um3),
-        E_vac_max_diamond=e_d,
-        E_vac_global_max=e_g,
-        z_max_diamond_nm=float(z[i_d]),
-        z_max_global_nm=float(z[i_g]),
-    )
+    return {
+        "A_eff_um2": float(A_eff_um2),
+        "V_eff_um3": float(V_eff_um3),
+        "E_vac_max_diamond_V_per_m": e_d,
+        "E_vac_global_max_V_per_m": e_g,
+        "z_max_diamond_nm": float(z[i_d]),
+        "z_max_global_nm": float(z[i_g]),
+    }

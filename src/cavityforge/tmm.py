@@ -38,24 +38,6 @@ class StackResponse:
 
 
 @dataclass
-class BranchSample:
-    L: float
-    lambda_res: float
-    slope: float = np.nan         # d(lambda)/dL, filled by dispersion_map
-
-
-@dataclass
-class ModeBranch:
-    samples: list[BranchSample]
-    order: int = 0                 # mode order m, counted from the window's start
-    character: str = "mixed"       # "air-like" | "diamond-like" | "mixed"
-
-    @property
-    def lambda_values(self) -> np.ndarray:
-        return np.array([s.lambda_res for s in self.samples])
-
-
-@dataclass
 class FieldProfile:
     z: np.ndarray                  # nm, from the bottom substrate interface
     amplitude: np.ndarray          # |E(z)|, relative units
@@ -402,19 +384,25 @@ def diamond_energy_fraction(profile: FieldProfile) -> float:
 
 
 def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
-                   lam_window: tuple[float, float]) -> list[ModeBranch]:
-    """Resonances across an air-gap scan, as branches of fixed mode order.
+                   lam_window: tuple[float, float]) -> dict:
+    """Resonances across an air-gap scan, as columns: one 1-D array per
+    field, one entry per root, sorted by (L, branch id).
 
-    At each L the resonances are the phase roots find_resonances returns,
-    found together for all L.  A branch holds the roots of one mode order m
-    of phi(lam; L) = 2 pi m, one per L.  Past the mirrors' stop band phi
-    need not be monotone in lambda, and one order can close twice at one L
-    (a fold pair): a root then joins the branch of its rank in lambda among
-    its order's roots at that L.  Branches with fewer than two samples are
-    dropped.  Slopes d(lambda)/dL are np.gradient along each branch.
+    L_nm, lambda_nm: the air gap and its resonance (the phase roots
+    find_resonances returns, found together for all L); dlambda_dL: the
+    slope, np.gradient along the root's branch; order: its mode order m of
+    phi(lam; L) = 2 pi m, counted from the window's start; branch_id; and
+    character: "air-like", "diamond-like" or "mixed".
+
+    A branch holds the roots of one mode order, one per L.  Past the
+    mirrors' stop band phi need not be monotone in lambda, and one order
+    can close twice at one L (a fold pair): a root then joins the branch of
+    its rank in lambda among its order's roots at that L.  Branches with
+    fewer than two roots are dropped, and the rest are numbered by their
+    first (L, lambda).
 
     A branch's character comes from the exact in-diamond energy fraction
-    at its first, middle and last sample, all branches in one
+    at its first, middle and last root, all branches in one
     _layer_energies call: air-like when all three are below 0.25,
     diamond-like when all are above 0.75, else mixed.
     """
@@ -423,39 +411,53 @@ def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
         raise ValueError("L grid must be strictly increasing")
 
     index, lams, order, _ = _phase_roots(assembly, lam_window, L_values)
-    # a branch: one order m, and one rank in lambda among m's roots at each L
-    seen, groups = {}, {}
-    for k, key in enumerate(zip(order.tolist(), index.tolist())):
-        seen[key] = seen.get(key, -1) + 1
-        groups.setdefault((key[0], seen[key]), []).append(k)
-    branches = []
-    for (m, _), sel in sorted(groups.items()):
-        if len(sel) < 2:
-            continue
-        Ls, lam_sel = L_values[index[sel]], lams[sel]
-        slopes = np.gradient(lam_sel, Ls)
-        branches.append(ModeBranch([BranchSample(L, float(lam), float(sl))
-                                    for L, lam, sl in zip(Ls, lam_sel, slopes)],
-                                   order=int(m)))
-    _classify_branches(assembly, branches)
-    branches.sort(key=lambda b: (b.samples[0].L, b.samples[0].lambda_res))
-    return branches
+    # rank of each root in lambda among its order's roots at its L (the
+    # roots come in order of L, then of lambda, and lexsort is stable)
+    at = np.lexsort((order, index))
+    rows = np.arange(at.size)
+    rank = np.empty(at.size, int)
+    rank[at] = rows - np.maximum.accumulate(
+        np.where(_run_starts(index[at], order[at]), rows, 0))
+
+    # a branch: one (order, rank), its roots in order of L
+    at = np.lexsort((index, rank, order))
+    group = np.cumsum(_run_starts(order[at], rank[at])) - 1
+    keep = at[np.bincount(group)[group] >= 2]
+    L, lams, order = L_values[index[keep]], lams[keep], order[keep]
+    first = np.flatnonzero(_run_starts(order, rank[keep]))
+    bounds = np.r_[first, L.size]
+    slope = np.empty(L.size)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        slope[a:b] = np.gradient(lams[a:b], L[a:b])
+    character = _classify_branches(assembly, L, lams, bounds)
+
+    # number the branches by their first (L, lambda)
+    branch_id = np.empty(first.size, int)
+    branch_id[np.lexsort((lams[first], L[first]))] = np.arange(first.size)
+    branch_id, character = (np.repeat(x, np.diff(bounds)) for x in (branch_id, character))
+    at = np.lexsort((branch_id, L))
+    return {"L_nm": L[at], "lambda_nm": lams[at], "dlambda_dL": slope[at],
+            "order": order[at].astype(int), "branch_id": branch_id[at],
+            "character": character[at]}
 
 
-def _classify_branches(assembly: CavityAssembly, branches: list[ModeBranch]) -> None:
-    picked = [[br.samples[i] for i in sorted({0, len(br.samples) // 2, len(br.samples) - 1})]
-              for br in branches]
-    flat = [s for samples in picked for s in samples]
-    L = np.array([s.L for s in flat])
-    lam = np.array([s.lambda_res for s in flat])
-    _check_resonant(assembly, L, lam)
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """True where a run of equal keys begins, in rows sorted by those keys."""
+    new = np.zeros(keys[0].size, bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    return new
+
+
+def _classify_branches(assembly: CavityAssembly, L: np.ndarray, lam: np.ndarray,
+                       bounds: np.ndarray) -> np.ndarray:
+    """Character of each branch, whose roots are (L, lam)[bounds[i]:bounds[i + 1]]."""
+    a, b = bounds[:-1], bounds[1:]
+    picked = np.stack([a, (a + b) // 2, b - 1], axis=1).ravel()
+    _check_resonant(assembly, L[picked], lam[picked])
     names = [ly.name for ly in assembly.layers()]
-    flat_fracs = iter(_diamond_fraction(names, _layer_energies(assembly, L, lam)).tolist())
-    for br, samples in zip(branches, picked):
-        fracs = [next(flat_fracs) for _ in samples]
-        if max(fracs) < 0.25:
-            br.character = "air-like"
-        elif min(fracs) > 0.75:
-            br.character = "diamond-like"
-        else:
-            br.character = "mixed"
+    fracs = _diamond_fraction(names, _layer_energies(assembly, L[picked], lam[picked]))
+    fracs = fracs.reshape(-1, 3)
+    return np.where(fracs.max(axis=1) < 0.25, "air-like",
+                    np.where(fracs.min(axis=1) > 0.75, "diamond-like", "mixed"))

@@ -121,9 +121,8 @@ def baseline_chain():
     from cavityforge.design import _tune_air_gap
     asm = _tune_air_gap(base, 637.0)
     prof = field_profile(asm, 637.0)
-    mode = beam_waist(16.0, asm.geometric_length_um(), 637.0,
-                      waist_fwhm_override_um=0.83)
-    rep = vacuum_field(prof, effective_area(mode))
+    w0 = beam_waist(16.0, asm.geometric_length_um(), 637.0, waist_fwhm_override_um=0.83)
+    rep = vacuum_field(prof, effective_area(w0))
     return asm, prof, rep
 
 
@@ -132,7 +131,7 @@ def test_criterion_5_vacuum_field_full_chain(baseline_chain):
     iface = float(prof.layer_edges[prof.layer_names.index("diamond") + 1])
     amp_iface = float(np.interp(iface, prof.z, prof.amplitude))
     ratio = amp_iface / float(prof.amplitude.max())
-    ok_e, det_e = _within(rep.E_vac_max_diamond, 36.2e3, rel=0.05)
+    ok_e, det_e = _within(rep["E_vac_max_diamond_V_per_m"], 36.2e3, rel=0.05)
     checks = [
         ("E_vac_diamond", ok_e, det_e),
         ("interface node |E|/|E_max| < 0.1", ratio < 0.1, f"got {ratio:.3f}"),
@@ -153,21 +152,18 @@ def baseline_dispersion():
 
 
 def test_criterion_6_dispersion_map(baseline_dispersion):
-    asm, branches = baseline_dispersion
-    checks = [("anticrossing branch structure", len(branches) >= 3,
-               f"{len(branches)} branches")]
+    asm, cols = baseline_dispersion
+    n_branches = np.unique(cols["branch_id"]).size
+    checks = [("anticrossing branch structure", n_branches >= 3,
+               f"{n_branches} branches")]
     # operating-branch slope at the sample closest to (637 nm, L ~ 1.95 um)
-    best = None
-    for br in branches:
-        for s in br.samples:
-            cost = abs(s.lambda_res - 637.0) + 0.01 * abs(s.L - 1950.0)
-            if best is None or cost < best[0]:
-                best = (cost, s)
-    s = best[1]
-    ok, det = _within(s.slope, 0.18, abs_=0.02)
-    checks.append((f"dlambda/dL at L={s.L:.0f} nm", ok, det))
+    cost = np.abs(cols["lambda_nm"] - 637.0) + 0.01 * np.abs(cols["L_nm"] - 1950.0)
+    best = int(np.argmin(cost))
+    L_op, lam_op, slope_op = (cols[k][best] for k in ("L_nm", "lambda_nm", "dlambda_dL"))
+    ok, det = _within(slope_op, 0.18, abs_=0.02)
+    checks.append((f"dlambda/dL at L={L_op:.0f} nm", ok, det))
     # hybridization: slopes across the map span air-like and diamond-like values
-    slopes = np.array([x.slope for br in branches for x in br.samples])
+    slopes = cols["dlambda_dL"]
     checks.append(("slope range spans hybridized branches",
                    slopes.max() / slopes.min() > 2.0,
                    f"min {slopes.min():.3f}, max {slopes.max():.3f}"))
@@ -175,8 +171,8 @@ def test_criterion_6_dispersion_map(baseline_dispersion):
     def nearest(step):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tmm, "_SCAN_STEP", step)
-            res = find_resonances(asm.with_air_gap(s.L), (630.0, 645.0))
-        return min(res, key=lambda d: abs(d["lambda_res"] - s.lambda_res))["lambda_res"]
+            res = find_resonances(asm.with_air_gap(L_op), (630.0, 645.0))
+        return min(res, key=lambda d: abs(d["lambda_res"] - lam_op))["lambda_res"]
 
     lam_coarse, lam_fine = nearest(0.004), nearest(0.002)
     checks.append(("stability under grid halving", abs(lam_fine - lam_coarse) < 1e-4,
@@ -271,8 +267,8 @@ def test_criterion_8b_vacuum_normalization_half_quantum():
                         layer_names=["diamond"], layer_energy=np.array([955.5 / 2]),
                         faces=np.zeros((1, 2), complex))
     rep = vacuum_field(prof, 0.781)
-    i_star = int(np.argmin(np.abs(prof.z - rep.z_max_diamond_nm)))
-    E = rep.E_vac_max_diamond * amp / amp[i_star]
+    i_star = int(np.argmin(np.abs(prof.z - rep["z_max_diamond_nm"])))
+    E = rep["E_vac_max_diamond_V_per_m"] * amp / amp[i_star]
     energy = CONSTANTS.eps0 * np.trapezoid(E ** 2, z * 1e-9) * 0.781e-12
     w = 2 * np.pi * CONSTANTS.c / 637.0e-9
     ok = abs(energy / (CONSTANTS.hbar * w / 2.0) - 1.0) < 1e-6

@@ -93,12 +93,11 @@ def test_termination_verdicts_read_true_extrema():
 
 
 def test_sweep_keeps_membraneless_point_with_reason():
-    res = sweep([0.0, 132.0], [637.0], ["antinode"], EMITTER)
-    bare, membrane = res.points
+    (bare, membrane), pareto, _ = sweep([0.0, 132.0], [637.0], ["antinode"], EMITTER)
     assert not bare.valid
     assert bare.reason.startswith("GeometryError")
     assert membrane.valid
-    assert res.pareto == [1]
+    assert pareto == [1]
 
 
 def test_transform_limit_follows_emitter_debye_waller():
@@ -121,10 +120,10 @@ def test_sweep_solves_each_geometry_once(monkeypatch):
         return field_profile(asm, lam)
 
     monkeypatch.setattr(design, "field_profile", counting)
-    res = sweep([132.0, 198.0], [478.0, 637.0], ["node", "antinode"], EMITTER)
+    points, _, _ = sweep([132.0, 198.0], [478.0, 637.0], ["node", "antinode"], EMITTER)
     assert calls == [132.0, 132.0, 198.0, 198.0]
     # the two rows of a geometry differ in the termination and its verdict only
-    for node, anti in zip(res.points[::2], res.points[1::2]):
+    for node, anti in zip(points[::2], points[1::2]):
         assert (node.termination, anti.termination) == ("node", "antinode")
         np.testing.assert_equal(
             asdict(replace(node, termination="", termination_consistent=False)),

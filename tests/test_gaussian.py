@@ -1,9 +1,12 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavityforge.constants import CONSTANTS
-from cavityforge.gaussian import (TransverseMode, beam_waist, effective_area,
+from cavityforge.gaussian import (_FWHM_PER_W0, beam_waist, effective_area,
                                   transverse_offsets, vacuum_field, waist_from_fwhm)
 from cavityforge.stack import GeometryError, MirrorSpec, assemble_cavity
 from cavityforge.tmm import FieldProfile, field_profile, find_resonances
@@ -12,23 +15,23 @@ from cavityforge.tmm import FieldProfile, field_profile, find_resonances
 
 
 def test_fwhm_waist_conversion_exact():
-    m = TransverseMode(waist_um=1.0)
-    assert m.intensity_fwhm_um == pytest.approx(np.sqrt(2 * np.log(2)), rel=1e-14)
-    assert waist_from_fwhm(m.intensity_fwhm_um) == pytest.approx(1.0, rel=1e-14)
+    fwhm = 1.0 * _FWHM_PER_W0
+    assert fwhm == pytest.approx(np.sqrt(2 * np.log(2)), rel=1e-14)
+    assert waist_from_fwhm(fwhm) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_plano_concave_waist_formula():
-    m = beam_waist(16.0, 2.73, 637.0)
+    w0 = beam_waist(16.0, 2.73, 637.0)
     lam_um = 0.637
-    w0 = np.sqrt((lam_um / np.pi) * np.sqrt(2.73 * (16.0 - 2.73)))
-    assert m.waist_um == pytest.approx(w0, rel=1e-12)
-    assert m.waist_um == pytest.approx(1.10, abs=0.01)
-    assert m.intensity_fwhm_um == pytest.approx(1.30, abs=0.01)
+    want = np.sqrt((lam_um / np.pi) * np.sqrt(2.73 * (16.0 - 2.73)))
+    assert w0 == pytest.approx(want, rel=1e-12)
+    assert w0 == pytest.approx(1.10, abs=0.01)
+    assert w0 * _FWHM_PER_W0 == pytest.approx(1.30, abs=0.01)
 
 
 def test_waist_override_takes_precedence():
-    m = beam_waist(16.0, 2.73, 637.0, waist_fwhm_override_um=0.83)
-    assert m.waist_um == pytest.approx(0.705, abs=0.001)
+    w0 = beam_waist(16.0, 2.73, 637.0, waist_fwhm_override_um=0.83)
+    assert w0 == pytest.approx(0.705, abs=0.001)
 
 
 def test_waist_stability_guard():
@@ -60,13 +63,13 @@ def test_transverse_offsets_value_and_spacing():
 
 
 def test_effective_area_values():
-    assert effective_area(TransverseMode(1.0)) == pytest.approx(np.pi / 2)
-    assert effective_area(TransverseMode(0.705)) == pytest.approx(0.781, abs=0.002)
-    a1 = effective_area(TransverseMode(0.7))
-    a2 = effective_area(TransverseMode(1.4))
+    assert effective_area(1.0) == pytest.approx(np.pi / 2)
+    assert effective_area(0.705) == pytest.approx(0.781, abs=0.002)
+    a1 = effective_area(0.7)
+    a2 = effective_area(1.4)
     assert a2 == pytest.approx(4 * a1)
     with pytest.raises(ValueError):
-        effective_area(TransverseMode(0.0))
+        effective_area(0.0)
 
 
 # ------------------------------------------------------- vacuum normalization
@@ -92,8 +95,8 @@ def test_uniform_cavity_closed_form():
     w = 2 * np.pi * CONSTANTS.c / (637.0e-9)
     expected = np.sqrt(CONSTANTS.hbar * w /
                        (CONSTANTS.eps0 * A_um2 * 1e-12 * 955.5e-9))
-    assert rep.E_vac_max_diamond == pytest.approx(expected, rel=1e-6)
-    assert rep.E_vac_global_max == pytest.approx(expected, rel=1e-6)
+    assert rep["E_vac_max_diamond_V_per_m"] == pytest.approx(expected, rel=1e-6)
+    assert rep["E_vac_global_max_V_per_m"] == pytest.approx(expected, rel=1e-6)
 
 
 def test_vacuum_energy_is_half_quantum():
@@ -101,8 +104,8 @@ def test_vacuum_energy_is_half_quantum():
     prof = _sine_profile()
     A_um2 = 0.781
     rep = vacuum_field(prof, A_um2)
-    i_star = int(np.argmin(np.abs(prof.z - rep.z_max_diamond_nm)))
-    E = rep.E_vac_max_diamond * prof.amplitude / prof.amplitude[i_star]
+    i_star = int(np.argmin(np.abs(prof.z - rep["z_max_diamond_nm"])))
+    E = rep["E_vac_max_diamond_V_per_m"] * prof.amplitude / prof.amplitude[i_star]
     energy = CONSTANTS.eps0 * np.trapezoid(prof.eps_r * E ** 2, prof.z * 1e-9) \
         * A_um2 * 1e-12
     w = 2 * np.pi * CONSTANTS.c / 637.0e-9
@@ -113,8 +116,8 @@ def test_vacuum_energy_is_half_quantum():
 @given(st.floats(min_value=0.2, max_value=5.0))
 def test_vacuum_field_scales_inverse_sqrt_area(scale):
     prof = _sine_profile(n_samples=4001)
-    base = vacuum_field(prof, 1.0).E_vac_max_diamond
-    scaled = vacuum_field(prof, scale).E_vac_max_diamond
+    base = vacuum_field(prof, 1.0)["E_vac_max_diamond_V_per_m"]
+    scaled = vacuum_field(prof, scale)["E_vac_max_diamond_V_per_m"]
     assert scaled == pytest.approx(base / np.sqrt(scale), rel=1e-9)
 
 
@@ -132,4 +135,13 @@ def test_global_max_at_least_diamond_max():
     lam = min(res, key=lambda d: abs(d["lambda_res"] - 637.0))["lambda_res"]
     prof = field_profile(asm, lam)
     rep = vacuum_field(prof, 0.781)
-    assert rep.E_vac_global_max >= rep.E_vac_max_diamond > 0
+    assert rep["E_vac_global_max_V_per_m"] >= rep["E_vac_max_diamond_V_per_m"] > 0
+
+
+def test_vacuum_field_keys_are_the_report_cavity_keys():
+    # report writes vacuum_field's dict under "cavity", after its own six keys
+    golden = pathlib.Path(__file__).resolve().parent / "golden" / "report_paper_baseline.json"
+    cavity = json.loads(golden.read_text())["cavity"]
+    own = {"L_tuned_nm", "t_d_nm", "lambda_res_nm", "waist_um", "waist_intensity_fwhm_um",
+           "waist_source"}
+    assert set(vacuum_field(_sine_profile(), 0.781)) == set(cavity) - own

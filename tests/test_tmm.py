@@ -292,10 +292,8 @@ def test_layer_energies_match_fine_trapezoid(t_d, L, kappa_d):
 
 
 def test_batched_energies_equal_one_sample_walk(paper_cavity):
-    branches = dispersion_map(paper_cavity, np.arange(1500.0, 1801.0, 20.0),
-                              (600.0, 700.0))
-    L = np.array([s.L for br in branches for s in br.samples])
-    lam = np.array([s.lambda_res for br in branches for s in br.samples])
+    cols = dispersion_map(paper_cavity, np.arange(1500.0, 1801.0, 20.0), (600.0, 700.0))
+    L, lam = cols["L_nm"], cols["lambda_nm"]
     batched = _layer_energies(paper_cavity, L, lam)
     for i in range(L.size):
         one = _layer_energies(paper_cavity, L[i:i + 1], lam[i:i + 1])[:, 0]
@@ -374,7 +372,7 @@ def test_energies_do_not_depend_on_sample_count(baseline_resonant, samples):
         # the integral vacuum_field used, undone from V_eff and the sampled maximum
         mask = prof.mask_for_layer("diamond")
         peak = prof.eps_r[mask][0] * prof.amplitude[mask].max() ** 2
-        return diamond_energy_fraction(prof), rep.V_eff_um3 * peak / (0.781 * 1e-3)
+        return diamond_energy_fraction(prof), rep["V_eff_um3"] * peak / (0.781 * 1e-3)
 
     frac0, integral0 = readings()
     with pytest.MonkeyPatch.context() as mp:
@@ -389,16 +387,19 @@ def test_energies_do_not_depend_on_sample_count(baseline_resonant, samples):
 
 def test_dispersion_branches_monotone(baseline_assembly):
     L_values = np.arange(1900.0, 2101.0, 25.0)
-    branches = dispersion_map(baseline_assembly, L_values, (600.0, 700.0))
-    assert branches
+    cols = dispersion_map(baseline_assembly, L_values, (600.0, 700.0))
+    branches = np.unique(cols["branch_id"])
+    assert branches.size
     # one branch per mode order of the round-trip phase
-    assert len({br.order for br in branches}) == len(branches)
-    for br in branches:
-        lam = br.lambda_values
+    assert np.unique(cols["order"]).size == branches.size
+    for b in branches:
+        on = cols["branch_id"] == b
+        lam = cols["lambda_nm"][on]
         assert np.all(np.diff(lam) > 0)  # lambda_res strictly increases with L
-        slopes = np.array([s.slope for s in br.samples])
+        slopes = cols["dlambda_dL"][on]
         assert np.all((slopes > 0.0) & (slopes < 1.0))
-        assert br.character in ("air-like", "diamond-like", "mixed")
+        assert np.unique(cols["character"][on]).size == 1
+        assert cols["character"][on][0] in ("air-like", "diamond-like", "mixed")
 
 
 @pytest.fixture(scope="module")
@@ -444,11 +445,10 @@ def test_phase_roots_match_transmission_peaks(paper_cavity, L_values):
             assert abs(dense[i] - lam) < 1e-5
             wide = lam + np.linspace(-1.5 * w, 1.5 * w, 3001)
             assert w == pytest.approx(_half_max_width(wide, T(wide)), rel=1e-5)
-    branches = dispersion_map(paper_cavity, np.array(L_values), window)
-    samples = [s for br in branches for s in br.samples]
-    assert samples
-    for s in samples:
-        assert s.lambda_res in [r["lambda_res"] for r in found[s.L]]
+    cols = dispersion_map(paper_cavity, np.array(L_values), window)
+    assert cols["L_nm"].size
+    for L, lam in zip(cols["L_nm"], cols["lambda_nm"]):
+        assert lam in [r["lambda_res"] for r in found[L]]
 
 
 def test_lockstep_refinement_is_independent_per_peak(paper_cavity):
@@ -511,17 +511,38 @@ def test_roots_do_not_depend_on_the_bracket_lattice(paper_cavity, lo, width, L, 
     assert np.all((coarse >= window[0]) & (coarse <= window[1]))
 
 
+_MAP_L = np.arange(1500.0, 4501.0, 20.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, _MAP_L.size - 2).flatmap(
+    lambda i: st.tuples(st.just(i), st.integers(i + 2, _MAP_L.size))))
+def test_dispersion_columns_hold_whole_branches_in_order(paper_cavity, span):
+    cols = dispersion_map(paper_cavity, _MAP_L[span[0]:span[1]], (600.0, 700.0))
+    L, bid = cols["L_nm"], cols["branch_id"]
+    assert {k: v.shape for k, v in cols.items()} == dict.fromkeys(cols, L.shape)
+    for b in np.unique(bid):
+        on = bid == b
+        assert np.unique(cols["order"][on]).size == 1
+        assert on.sum() >= 2
+        assert np.all(np.diff(L[on]) > 0)
+    # rows sorted by (L, branch id), one root per branch at each L
+    dL, dbid = np.diff(L), np.diff(bid)
+    assert np.all((dL > 0) | ((dL == 0) & (dbid > 0)))
+
+
 def test_fold_pairs_split_into_branches(paper_cavity):
     # past the stop band one order can close twice at one L; each branch
     # must still hold one root per L, so every slope is finite
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)    # window-edge peaks
         warnings.simplefilter("error", RuntimeWarning)  # np.gradient over a repeated L
-        branches = dispersion_map(paper_cavity, np.arange(1500.0, 2201.0, 20.0),
-                                  (560.0, 760.0))
-    assert len(branches) > len({br.order for br in branches})  # some order folds
-    for br in branches:
-        L = np.array([s.L for s in br.samples])
+        cols = dispersion_map(paper_cavity, np.arange(1500.0, 2201.0, 20.0),
+                              (560.0, 760.0))
+    branches = np.unique(cols["branch_id"])
+    assert branches.size > np.unique(cols["order"]).size  # some order folds
+    for b in branches:
+        L = cols["L_nm"][cols["branch_id"] == b]
         assert L.size >= 2 and np.all(np.diff(L) > 0)
-        assert np.all(np.isfinite(br.lambda_values))
-        assert np.all(np.isfinite([s.slope for s in br.samples]))
+    assert np.all(np.isfinite(cols["lambda_nm"]))
+    assert np.all(np.isfinite(cols["dlambda_dL"]))
