@@ -289,12 +289,12 @@ def field_profile(assembly: CavityAssembly, lam_res: float) -> FieldProfile:
         zs.append(z0 + z_local)
         amps.append(np.abs(t * (c * E + a * H)))
         eps.append(np.full(z_local.size, (ly.n ** 2).real))
-        energy.append(_layer_energy(ly.n, d, lam, E, H))
+        energy.append(_layer_energy(ly.n, d, lam, t * E, t * H))
 
     # bottom first, so z is already in order; interfaces carry two samples
     return FieldProfile(np.concatenate(zs), np.concatenate(amps), np.concatenate(eps),
                         lam_res, edges, [ly.name for ly, _, _, _ in faces],
-                        (np.array(energy) * np.abs(t) ** 2)[:, 0],
+                        np.array(energy)[:, 0],
                         t[0] * np.array([[E[0], H[0]] for _, _, E, H in faces]))
 
 
@@ -367,8 +367,9 @@ def _layer_energies(assembly: CavityAssembly, L: np.ndarray, lam: np.ndarray) ->
     illumination from the bottom substrate, z in nm).
     """
     faces, t = _walk(assembly, L, lam)
-    return np.array([_layer_energy(ly.n, d, lam, E, H)
-                     for ly, d, E, H in faces]) * np.abs(t) ** 2
+    # scaled by t before squaring: behind a thick mirror E and H alone
+    # overflow when squared, while t E stays of the order of the field
+    return np.array([_layer_energy(ly.n, d, lam, t * E, t * H) for ly, d, E, H in faces])
 
 
 def _diamond_fraction(names: Sequence[str], energy: np.ndarray):

@@ -502,6 +502,22 @@ def test_config_value_outside_its_domain_exits_2_naming_its_block(path, value, m
         assert f"error: {'.'.join(path[:-1])}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pairs", [1019, 1030])
+def test_thick_top_mirror_up_to_the_pairs_bound_gives_finite_fields(pairs, tmp_path, capsys):
+    # behind the top mirror the walk's fields grow as (n_high / n_low)^pairs;
+    # the layer energies square t E, which stays of the order of the field,
+    # so E_vac is that of any opaque top mirror
+    from cavityforge.config import paper_baseline_dict
+    doc = paper_baseline_dict()
+    doc["cavity"]["top_mirror"]["pairs"] = pairs
+    cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps(doc))
+    assert _run(["report", "--config", str(cfg), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    cavity = json.loads(out.read_text())["cavity"]
+    assert cavity["E_vac_max_diamond_V_per_m"] == pytest.approx(53175.2234815, rel=1e-12)
+
+
 @pytest.mark.parametrize("grid", [
     ["--single", "t_d_nm=198", "L_nm=478"],
     ["--t-d-nm", "198", "--l-nm", "478", "--terminations", "node"],
