@@ -29,7 +29,7 @@ from .cqed import DomainError, RatesMeasurement, coupling_report
 from .fits import DecayHistogram, FitError, XYSeries, fit_gaussian, fit_lifetime, \
     fit_lorentzian, fit_voigt, g2_pulse_areas
 from .gaussian import _FWHM_PER_W0, transverse_offsets
-from .stack import GeometryError, _paraxial_length_um, emitter_rates
+from .stack import TERMINATIONS, EmitterSpec, GeometryError, _paraxial_length_um, emitter_rates
 from .tmm import ResonanceError, dispersion_map
 
 EXIT_OK = 0
@@ -131,8 +131,9 @@ def cmd_report(args) -> int:
     asm, _, w0, vac = design_mod.cavity_mode(cfg.cavity, lam)
 
     m = cfg.measured
+    paper = paper_baseline_dict()["measured"]
     rates = None
-    if "gamma_on_per_s" in m and "gamma_off_per_s" in m:
+    if "gamma_on_per_s" in m:  # the config holds both rates or neither
         rates = RatesMeasurement(m["gamma_on_per_s"], m["gamma_off_per_s"],
                                  emitter_rates(e)["gamma_bulk"],
                                  m.get("dw_assumed", e.debye_waller))
@@ -141,8 +142,8 @@ def cmd_report(args) -> int:
         lam_nm=lam,
         n_host=e.host_index,
         E_vac=vac["E_vac_max_diamond_V_per_m"],
-        Gamma_L_pm=m.get("Gamma_L_pm", 60.6),
-        dlambda_dL=m.get("dlambda_dL", 0.18),
+        Gamma_L_pm=m.get("Gamma_L_pm", paper["Gamma_L_pm"]),
+        dlambda_dL=m.get("dlambda_dL", paper["dlambda_dL"]),
         xi=e.dipole_orientation_factor,
         rates=rates,
     )
@@ -257,7 +258,7 @@ def _parse_single(tokens: list, emitter) -> tuple:
     if term is None:
         quarters = round(emitter.host_index * out["t_d_nm"] / (emitter.zpl_wavelength / 4.0))
         term = "antinode" if quarters % 2 == 0 else "node"
-    elif term not in design_mod.TERMINATIONS:
+    elif term not in TERMINATIONS:
         raise ConfigError(f"--single: termination must be node or antinode, got {term!r}")
     return [out["t_d_nm"]], [out["L_nm"]], [term]
 
@@ -270,7 +271,7 @@ def cmd_design(args) -> int:
     if args.single and grid_flags:
         raise ConfigError(f"--single takes no grid flags, got {' '.join(grid_flags)}")
     cfg = _load_run_config(args) if (args.config or args.paper_baseline) else None
-    emitter = cfg.emitter if cfg else parse_config(paper_baseline_dict()).emitter
+    emitter = cfg.emitter if cfg else EmitterSpec()
     sweep_cfg = cfg.sweep if cfg else {}
     R_um = args.r_um if args.r_um is not None else sweep_cfg.get(
         "R_um", design_mod.DESIGN_RADIUS_UM)
@@ -283,7 +284,7 @@ def cmd_design(args) -> int:
         t_d_values = args.t_d_nm or sweep_cfg.get("t_d_nm")
         L_values = args.l_nm or sweep_cfg.get("L_nm")
         terminations = args.terminations or sweep_cfg.get(
-            "terminations", list(design_mod.TERMINATIONS))
+            "terminations", list(TERMINATIONS))
         if not t_d_values or not L_values:
             raise ConfigError("sweep needs --t-d-nm and --l-nm grids "
                               "(or a config 'sweep' block)")
@@ -369,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
         k.add_argument("data", help="two-column CSV with unit-declaring header")
         _add_output_arg(k)
     k = fit_kinds["lifetime"]
-    k.add_argument("--irf-sigma-ns", type=float, default=0.2)
-    k.add_argument("--window-start-ns", type=float, default=3.0)
+    k.add_argument("--irf-sigma-ns", type=float, default=DecayHistogram.irf_sigma_ns)
+    k.add_argument("--window-start-ns", type=float, default=DecayHistogram.fit_window_start_ns)
     k = fit_kinds["g2"]
     k.add_argument("--period-ns", type=float, default=100.0)
     k.add_argument("--window-ns", type=float, default=20.0)
@@ -383,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-d-nm", type=float, nargs="+", default=None)
     p.add_argument("--l-nm", type=float, nargs="+", default=None)
     p.add_argument("--terminations", nargs="+", default=None,
-                   choices=design_mod.TERMINATIONS)
+                   choices=TERMINATIONS)
     p.add_argument("--r-um", type=float, default=None)
     p.add_argument("--pareto-json", default=None,
                    help="also write the non-dominated set as JSON")

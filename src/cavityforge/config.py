@@ -2,8 +2,8 @@
 
 Unknown keys are rejected; every length key carries an explicit unit
 suffix, and every number must be a finite JSON number.  A key left out
-takes the default of the object it fills.  The paper-baseline
-configuration (measured cavity and emitter) is available as a built-in.
+takes the default of the object it fills; the built-in paper baseline
+is those defaults plus the demonstrated device's geometry and measurements.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .design import TERMINATIONS
-from .stack import CavityAssembly, EmitterSpec, MirrorSpec, assemble_cavity
+from .stack import TERMINATIONS, CavityAssembly, EmitterSpec, MirrorSpec, assemble_cavity
 
 
 class ConfigError(ValueError):
@@ -94,7 +93,8 @@ _SWEEP = {"t_d_nm": ("t_d_nm", _numbers), "L_nm": ("L_nm", _numbers),
 
 # the check of a cavity block's mirror key builds its MirrorSpec, which has
 # no default of its own for pairs and center_wavelength
-_read_mirror = partial(_build, _MIRROR, MirrorSpec, {"pairs": 15, "center_wavelength_nm": 637.0})
+_read_mirror = partial(_build, _MIRROR, MirrorSpec,
+                       {"pairs": 15, "center_wavelength_nm": EmitterSpec.zpl_wavelength})
 _CAVITY = {"bottom_mirror": ("bottom", _read_mirror), "top_mirror": ("top", _read_mirror),
            "t_d_nm": ("t_d", _finite), "L_nm": ("L", _finite), "R_um": ("R_um", _finite),
            "waist_fwhm_um": ("waist_fwhm_um", _finite)}
@@ -110,26 +110,17 @@ class RunConfig:
 
 
 def paper_baseline_dict() -> dict:
-    """Measured-cavity configuration of the demonstrated device."""
+    """The demonstrated device's configuration: what differs from the
+    defaults of the blocks it fills, which hold its mirrors and emitter."""
     return {
         "cavity": {
-            "bottom_mirror": {"pairs": 15, "center_wavelength_nm": 637.0,
-                              "terminal_high_index": True},
-            "top_mirror": {"pairs": 14, "center_wavelength_nm": 637.0,
-                           "terminal_high_index": True},
+            "bottom_mirror": {},
+            "top_mirror": {"pairs": 14},
             "t_d_nm": 770.0,
             "L_nm": 1960.0,
-            "R_um": 16.0,
             "waist_fwhm_um": 0.83,
         },
-        "emitter": {
-            "zpl_wavelength_nm": 637.0,
-            "bulk_lifetime_ns": 12.6,
-            "host_index": 2.41,
-            "debye_waller": 0.0255,
-            "depth_nm": 68.0,
-            "dipole_orientation_factor": 1.0,
-        },
+        "emitter": {},
         "measured": {
             "Gamma_L_pm": 60.6,
             "dlambda_dL": 0.18,
@@ -155,8 +146,12 @@ def parse_config(doc: dict) -> RunConfig:
                     doc["cavity"], "cavity", n_d=emitter.host_index)
     if cavity.t_d > 0 and not (0 < emitter.depth_below_surface <= cavity.t_d):
         raise ConfigError("emitter: depth_nm must lie within the diamond thickness")
-    return RunConfig(cavity, emitter,
-                     _build(_MEASURED, dict, {}, doc.get("measured", {}), "measured"),
+    measured = _build(_MEASURED, dict, {}, doc.get("measured", {}), "measured")
+    # the rates algebra takes both rates, and dw_assumed only with them
+    missing = [k for k in ("gamma_on_per_s", "gamma_off_per_s") if k not in measured]
+    if missing and measured.keys() & {"gamma_on_per_s", "gamma_off_per_s", "dw_assumed"}:
+        raise ConfigError(f"measured: missing required key {missing[0]!r}")
+    return RunConfig(cavity, emitter, measured,
                      _build(_SWEEP, dict, {}, doc.get("sweep", {}), "sweep"))
 
 

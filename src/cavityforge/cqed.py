@@ -26,7 +26,7 @@ class RatesMeasurement:
     gamma_on: float      # total decay rate on resonance, s^-1
     gamma_off: float     # total decay rate far detuned, s^-1
     gamma_bulk: float    # bulk (no top mirror) decay rate, s^-1
-    dw_assumed: float = 0.024
+    dw_assumed: float    # Debye-Waller fraction the rates algebra assumes
 
     def __post_init__(self):
         if not (self.gamma_on > self.gamma_off > 0):
@@ -145,9 +145,8 @@ def coupling_report(gamma_bulk: float, lam_nm: float, n_host: float,
         alg = rates_algebra(rates)
         F_total = alg["F_P_total"]
         eta = alg["eta_zpl"]
-        gamma_zpl = rates.dw_assumed * rates.gamma_bulk
-        gamma_tf = transform_limit(alg["F_P_zpl_measured"], gamma_zpl,
-                                   rates.gamma_bulk - gamma_zpl)
+        gamma_tf = transform_limit(alg["F_P_zpl_measured"], alg["gamma_zpl"],
+                                   rates.gamma_bulk - alg["gamma_zpl"])
     return {
         "dipole": {"value_Cm": d, "d_over_e_nm": d / CONSTANTS.e_charge * 1e9},
         "g_rad_per_s": g,

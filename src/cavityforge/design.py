@@ -14,7 +14,7 @@ import numpy as np
 from .constants import CONSTANTS
 from .cqed import coupling_rate, dipole_from_lifetime, purcell_zpl_theory, transform_limit
 from .gaussian import beam_waist, effective_area, vacuum_field
-from .stack import (CavityAssembly, EmitterSpec, GeometryError, MirrorSpec,
+from .stack import (TERMINATIONS, CavityAssembly, EmitterSpec, GeometryError, MirrorSpec,
                     assemble_cavity, emitter_rates)
 from .tmm import ResonanceError, _round_trip, field_profile
 
@@ -24,14 +24,11 @@ ETA_DEBYE_WALLER = 0.020
 # improved-mirror geometry for proposed cavities (shallow ablated dimple)
 DESIGN_RADIUS_UM = 5.5
 
-# what a design asks of the field at the diamond-air interface
-TERMINATIONS = ("node", "antinode")
-
 # air gaps farther than this from the nominal one are not tuned to
 SEARCH_HALFWIDTH_NM = 170.0
 
 
-def design_mirrors(center_wavelength: float = 637.0):
+def design_mirrors(center_wavelength: float = EmitterSpec.zpl_wavelength):
     """Low-index-terminated DBRs (15 pairs below, 14 above) place field
     antinodes at both mirror surfaces, matching the proposed node/antinode
     membrane designs."""

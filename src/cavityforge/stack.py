@@ -13,6 +13,9 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+# what a design asks of the field at the diamond-air interface
+TERMINATIONS = ("node", "antinode")
+
 
 class GeometryError(ValueError):
     """Raised for unphysical or unstable cavity geometry."""
@@ -59,13 +62,14 @@ class MirrorSpec:
         for name in ("n_high", "n_low", "substrate_index"):
             if getattr(self, name) < 1.0:
                 raise GeometryError(f"{name} must be >= 1, got {getattr(self, name)}")
-        # the field behind N pairs grows as (n_high / n_low)^N at the stop
-        # band's centre, and the energy integrals take its square: keep that
-        # square inside the float range
-        ratio = self.n_high / self.n_low
-        if 2 * self.pairs * abs(math.log(ratio)) >= math.log(sys.float_info.max):
-            raise GeometryError(f"{self.pairs} mirror pairs square to more than the float "
-                                f"range at n_high / n_low = {ratio:.6g}")
+        # tmm._dbr_entries' Chebyshev recurrence reaches U_{N-1} = (r^N - r^-N) / (r - 1/r)
+        # at the stop band's centre, r = max(n_high / n_low, n_low / n_high); its
+        # largest term, r U_{N-1} or U_{N-1} + U_{N-3}, must stay a finite float
+        r = max(self.n_high / self.n_low, self.n_low / self.n_high)
+        if r > 1.0 and (self.pairs * math.log(r) + math.log(max(r, 1.0 + r ** -2) / (r - 1.0 / r))
+                        >= math.log(sys.float_info.max)):
+            raise GeometryError(f"{self.pairs} mirror pairs grow the mirror's matrix past the "
+                                f"float range at n_high / n_low = {self.n_high / self.n_low:.6g}")
 
 
 def build_dbr(spec: MirrorSpec) -> list[Layer]:
@@ -141,19 +145,9 @@ class CavityAssembly:
         return _paraxial_length_um(self.t_d, self.L)
 
 
-def assemble_cavity(bottom: MirrorSpec, t_d: float, L: float, top: MirrorSpec,
-                    R_um: float,
-                    n_d: float = 2.41,
-                    waist_fwhm_um: Optional[float] = None) -> CavityAssembly:
-    """Assemble the full cavity. t_d = 0 yields a bare (air-only) cavity;
-    a negative t_d raises GeometryError."""
-    diamond = Layer("diamond", complex(n_d), t_d)
-    air = Layer("air", 1.0 + 0.0j, L)
-    return CavityAssembly(bottom, diamond, air, top, R_um, waist_fwhm_um)
-
-
 @dataclass(frozen=True)
 class EmitterSpec:
+    """The NV centre and its host, whose defaults are the demonstrated device's."""
     zpl_wavelength: float = 637.0     # nm
     bulk_lifetime_ns: float = 12.6
     host_index: float = 2.41
@@ -170,6 +164,17 @@ class EmitterSpec:
             raise ValueError("bulk_lifetime_ns must be positive")
         if not (0.0 < self.dipole_orientation_factor <= 1.0):
             raise ValueError("dipole_orientation_factor must be in (0, 1]")
+
+
+def assemble_cavity(bottom: MirrorSpec, t_d: float, L: float, top: MirrorSpec,
+                    R_um: float,
+                    n_d: float = EmitterSpec.host_index,
+                    waist_fwhm_um: Optional[float] = None) -> CavityAssembly:
+    """Assemble the full cavity. t_d = 0 yields a bare (air-only) cavity;
+    a negative t_d raises GeometryError."""
+    diamond = Layer("diamond", complex(n_d), t_d)
+    air = Layer("air", 1.0 + 0.0j, L)
+    return CavityAssembly(bottom, diamond, air, top, R_um, waist_fwhm_um)
 
 
 def emitter_rates(e: EmitterSpec) -> dict:

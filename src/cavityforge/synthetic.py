@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import paper_baseline_dict
 from .fits import DecayHistogram, XYSeries, exp_gauss_decay, gaussian, lorentzian, voigt_profile
+from .stack import EmitterSpec
 
+_PAPER = paper_baseline_dict()["measured"]
 # cavity-length-tuned resonance: Lorentzian and Gaussian FWHM (pm), counts
-_VOIGT_FWHM_L_PM, _VOIGT_FWHM_G_PM = 60.6, 30.0
+_VOIGT_FWHM_L_PM, _VOIGT_FWHM_G_PM = _PAPER["Gamma_L_pm"], 30.0
 _VOIGT_AMPLITUDE, _VOIGT_OFFSET, _VOIGT_POINTS = 1000.0, 20.0, 241
 # decay rate (per s) against spectral (nm) and lateral (um) detuning
-_RATE_FWHM_NM, _RATE_FWHM_UM, _RATE_PEAK, _RATE_BASE, _RATE_POINTS = 0.32, 0.80, 158e6, 88.2e6, 121
-# pulsed-excitation decay histogram
-_DECAY_IRF_SIGMA_NS, _DECAY_AMPLITUDE, _DECAY_BASELINE = 0.2, 1e4, 5.0
-_DECAY_T_MAX_NS, _DECAY_BIN_NS, _DECAY_WINDOW_START_NS = 80.0, 0.05, 3.0
+_RATE_FWHM_NM, _RATE_FWHM_UM, _RATE_POINTS = 0.32, 0.80, 121
+_RATE_PEAK, _RATE_BASE = _PAPER["gamma_on_per_s"], _PAPER["gamma_off_per_s"]
+# pulsed-excitation decay histogram, blurred by the IRF the fit assumes
+_DECAY_AMPLITUDE, _DECAY_BASELINE, _DECAY_T_MAX_NS, _DECAY_BIN_NS = 1e4, 5.0, 80.0, 0.05
 # pulsed HBT coincidence histogram
 _G2_ZERO, _G2_PERIOD_NS, _G2_BIN_NS = 0.27, 100.0, 0.2
 _G2_PEAK_SIGMA_NS, _G2_PEAK_AREA = 2.0, 2000.0
@@ -53,19 +56,18 @@ def gaussian_rate_curve(noise_frac: float = 0.0, seed: int = 0) -> XYSeries:
     return XYSeries(x, _noisy(y, noise_frac, seed), x_unit="delta_x_um", y_unit="rate_per_s")
 
 
-def decay_histogram(tau_ns: float = 12.6, fast_tau_ns: float = 0.0,
+def decay_histogram(tau_ns: float = EmitterSpec.bulk_lifetime_ns, fast_tau_ns: float = 0.0,
                     fast_amplitude: float = 0.0, poisson: bool = False,
                     seed: int = 0) -> DecayHistogram:
     """Pulsed-excitation decay histogram, optionally with a fast background
     component (rejected by the fit window) and Poisson counting noise."""
     t = np.arange(0.0, _DECAY_T_MAX_NS + _DECAY_BIN_NS / 2, _DECAY_BIN_NS)
-    y = exp_gauss_decay(t, tau_ns, _DECAY_AMPLITUDE, _DECAY_BASELINE, _DECAY_IRF_SIGMA_NS)
+    y = exp_gauss_decay(t, tau_ns, _DECAY_AMPLITUDE, _DECAY_BASELINE, DecayHistogram.irf_sigma_ns)
     if fast_amplitude > 0 and fast_tau_ns > 0:
-        y = y + exp_gauss_decay(t, fast_tau_ns, fast_amplitude, 0.0, _DECAY_IRF_SIGMA_NS)
+        y = y + exp_gauss_decay(t, fast_tau_ns, fast_amplitude, 0.0, DecayHistogram.irf_sigma_ns)
     if poisson:
         y = np.random.default_rng(seed).poisson(y).astype(float)
-    return DecayHistogram(t, y, irf_sigma_ns=_DECAY_IRF_SIGMA_NS,
-                          fit_window_start_ns=_DECAY_WINDOW_START_NS)
+    return DecayHistogram(t, y)
 
 
 def g2_histogram(n_side_peaks: int = 10, poisson: bool = False, seed: int = 0) -> XYSeries:

@@ -1,4 +1,8 @@
 import copy
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -98,14 +102,26 @@ def test_mirror_values_are_not_coerced(key, value):
         parse_config(doc)
 
 
-@pytest.mark.parametrize("pairs, ok", [(1030, True), (1031, False)])
+@pytest.mark.parametrize("pairs, ok", [(1030, True), (2059, True), (2060, False)])
 def test_mirror_pairs_bound_comes_from_the_float_range(pairs, ok):
-    # (n_high / n_low)^(2 pairs) reaches the largest float between 1030 and
-    # 1031 pairs of the default 2.06 / 1.46 mirror
+    # the Chebyshev recurrence of the mirror matrix reaches the largest float
+    # between 2059 and 2060 pairs of the default 2.06 / 1.46 mirror
     doc = paper_baseline_dict()
     doc["cavity"]["top_mirror"]["pairs"] = pairs
     if ok:
         assert parse_config(doc).cavity.top_mirror.pairs == pairs
     else:
-        with pytest.raises(ConfigError, match="cavity.top_mirror: 1031 mirror pairs"):
+        with pytest.raises(ConfigError, match="cavity.top_mirror: 2060 mirror pairs"):
             parse_config(doc)
+
+
+def test_config_import_loads_no_physics_module():
+    # reading a config needs only the records it fills, not the solver chain
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, cavityforge.config\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cavityforge'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "['cavityforge', 'cavityforge.config', 'cavityforge.stack']"

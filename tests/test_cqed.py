@@ -84,7 +84,7 @@ def test_rates_algebra_both_dw():
 
 def test_rates_measurement_validation():
     with pytest.raises(ValueError):
-        RatesMeasurement(88.2e6, 158e6, 79.4e6)
+        RatesMeasurement(88.2e6, 158e6, 79.4e6, dw_assumed=0.024)
 
 
 def test_debye_waller_inversion():
