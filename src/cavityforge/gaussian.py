@@ -74,9 +74,8 @@ def vacuum_field(profile: FieldProfile, A_eff_um2: float) -> dict:
     eps_r(z*) V_eff)).  The global-maximum variant (z* chosen to maximize
     E_vac anywhere in the stack) is reported alongside.  The integral is
     the profile's exact layer energies; the maxima are read from its
-    samples.
+    samples.  A V_eff past the float range raises GeometryError.
     """
-    lam = profile.resonant_wavelength
     z, amp, eps = profile.z, profile.amplitude, profile.eps_r
     integral = float(profile.layer_energy.sum())  # exact, nm * (eps |f|^2) units
 
@@ -87,7 +86,7 @@ def vacuum_field(profile: FieldProfile, A_eff_um2: float) -> dict:
     def evac_at(i: int) -> float:
         # hbar w / (2 eps0 eps_r V_eff), V_eff = A * integral/(eps_i f_i^2)
         V_eff_m3 = (A_eff_um2 * 1e-12) * (integral * 1e-9) / (eps[i] * amp[i] ** 2)
-        w = 2.0 * np.pi * CONSTANTS.c / (lam * 1e-9)
+        w = 2.0 * np.pi * CONSTANTS.c / (profile.resonant_wavelength * 1e-9)
         return float(np.sqrt(CONSTANTS.hbar * w / (2.0 * CONSTANTS.eps0 * eps[i] * V_eff_m3)))
 
     # E_vac at z is prop. to |f(z)| (the eps factors cancel), so the maxima
@@ -99,9 +98,11 @@ def vacuum_field(profile: FieldProfile, A_eff_um2: float) -> dict:
     cand = didx[amp[didx] >= amax - 1e-12 * amax]
     i_d = int(cand[np.argmax(eps[cand])])
     i_g = int(np.argmax(amp))
+    with np.errstate(all="ignore"):  # behind a thick bottom mirror amp[i_d] ** 2 underflows
+        V_eff_um3 = A_eff_um2 * (integral * 1e-3) / (eps[i_d] * amp[i_d] ** 2)
+    if not np.isfinite(V_eff_um3):
+        raise GeometryError(f"V_eff is not finite: the diamond's field maximum is {amp[i_d]:.3g}")
     e_d, e_g = evac_at(i_d), evac_at(i_g)
-
-    V_eff_um3 = A_eff_um2 * (integral * 1e-3) / (eps[i_d] * amp[i_d] ** 2)
     return {
         "A_eff_um2": float(A_eff_um2),
         "V_eff_um3": float(V_eff_um3),

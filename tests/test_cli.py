@@ -536,6 +536,23 @@ def test_thick_top_mirror_up_to_the_pairs_bound_gives_finite_fields(pairs, tmp_p
     assert cavity["E_vac_max_diamond_V_per_m"] == pytest.approx(53175.2234815, rel=1e-12)
 
 
+@pytest.mark.parametrize("pairs", [1100, 2059])
+def test_thick_bottom_mirror_with_an_underflowing_diamond_field_exits_3(pairs, tmp_path, capsys):
+    # the mode is the field of unit illumination from the bottom substrate;
+    # behind ~1063 pairs its square at the diamond underflows, so V_eff has
+    # no float value and report stops before it writes any
+    from cavityforge.config import paper_baseline_dict
+    doc = paper_baseline_dict()
+    doc["cavity"]["bottom_mirror"]["pairs"] = pairs
+    cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(["report", "--config", str(cfg), "-o", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: V_eff is not finite")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mirror", ["bottom_mirror", "top_mirror"])
 def test_dispersion_with_either_mirror_at_the_pairs_bound_runs_clean(mirror, tmp_path, capsys):
     # at the bound each mirror's matrix nears the largest float, and the
