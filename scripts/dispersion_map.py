@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Mode dispersion map of the measured device over L = 1.5-4.5 um.
 
-Writes dispersion.csv with the branch structure (including the
-air-like/diamond-like anticrossings) and prints the operating-branch
-slope near the ZPL.
+Writes dispersion.csv with the branch structure and each root's exact
+diamond energy share (the hybridization behind the anticrossings), and
+prints the slope and diamond share of the operating root near the ZPL.
 """
 
 import sys
@@ -26,5 +26,6 @@ if __name__ == "__main__":
     if near.size:
         i = np.argmin(np.abs(near["lambda_nm"] - 637.0))
         print(f"operating branch near 637 nm: L = {near['L_nm'][i]:.0f} nm, "
-              f"dlambda/dL = {near['dlambda_dL'][i]:.3f}")
+              f"dlambda/dL = {near['dlambda_dL'][i]:.3f}, "
+              f"diamond share = {near['diamond_fraction'][i]:.3f}")
     print(f"wrote {OUT} ({rows.size} rows)")

@@ -1,10 +1,10 @@
 """Command-line front end: dispersion maps, coupling reports, data fits,
 design sweeps and synthetic-data generation.
 
-Exit codes: 0 success, 2 input error, 3 physics-domain failure,
-4 fit non-convergence (result still written).  All output is
-deterministic: fixed inputs give byte-identical files ('.' decimal
-separator, UTF-8, Unix newlines).  CSV outputs write floats at 9
+Exit codes: 0 success, 2 input error (also a grid too large to allocate),
+3 physics-domain failure, 4 fit non-convergence (result still written).
+All output is deterministic: fixed inputs give byte-identical files ('.'
+decimal separator, UTF-8, Unix newlines).  CSV outputs write floats at 9
 significant digits; JSON outputs (report, fit, --pareto-json) write
 json.dump's shortest round-trip floats.
 """
@@ -24,7 +24,8 @@ import numpy as np
 
 from . import design as design_mod
 from . import synthetic
-from .config import ConfigError, RunConfig, load_config, paper_baseline_dict, parse_config
+from .config import ConfigError, RunConfig, _numbers, load_config, paper_baseline_dict, \
+    parse_config
 from .cqed import DomainError, RatesMeasurement, coupling_report
 from .fits import DecayHistogram, FitError, XYSeries, fit_gaussian, fit_lifetime, \
     fit_lorentzian, fit_voigt, g2_pulse_areas
@@ -114,11 +115,12 @@ def cmd_dispersion(args) -> int:
                                 args.max_transverse_order)
         lam_k = np.vstack([lam, lam - slope * dL[1:]])
     with _output(args.output) as fh:
-        fh.write("L_nm,branch_id,lambda_nm,dlambda_dL,character,transverse_order\n")
-        # the columns come sorted by (L, branch id); a root's transverse rows follow it
-        for i, (bid, char) in enumerate(zip(cols["branch_id"], cols["character"])):
+        fh.write("L_nm,branch_id,lambda_nm,dlambda_dL,diamond_fraction,transverse_order\n")
+        # sorted by (L, branch id); a root's transverse rows follow it and repeat its share
+        share = [_fmt(f) for f in cols["diamond_fraction"]]
+        for i, bid in enumerate(cols["branch_id"]):
             for k, lam_ik in enumerate(lam_k[:, i]):
-                fh.write(f"{_fmt(L[i])},{bid},{_fmt(lam_ik)},{_fmt(slope[i])},{char},{k}\n")
+                fh.write(f"{_fmt(L[i])},{bid},{_fmt(lam_ik)},{_fmt(slope[i])},{share[i]},{k}\n")
     return EXIT_OK
 
 
@@ -281,8 +283,9 @@ def cmd_design(args) -> int:
     if args.single:
         t_d_values, L_values, terminations = _parse_single(args.single, emitter)
     else:
-        t_d_values = args.t_d_nm or sweep_cfg.get("t_d_nm")
-        L_values = args.l_nm or sweep_cfg.get("L_nm")
+        # a grid flag passes the check of a config's sweep block
+        t_d_values = _numbers(args.t_d_nm, "--t-d-nm") if args.t_d_nm else sweep_cfg.get("t_d_nm")
+        L_values = _numbers(args.l_nm, "--l-nm") if args.l_nm else sweep_cfg.get("L_nm")
         terminations = args.terminations or sweep_cfg.get(
             "terminations", list(TERMINATIONS))
         if not t_d_values or not L_values:
@@ -310,17 +313,16 @@ def cmd_design(args) -> int:
 # --------------------------------------------------------------------- synth
 
 def cmd_synth(args) -> int:
-    if args.kind == "resonance":
-        s = synthetic.voigt_resonance(noise_frac=args.noise_frac, seed=args.seed)
-    elif args.kind == "lorentzian":
-        s = synthetic.lorentzian_rate_curve(noise_frac=args.noise_frac, seed=args.seed)
-    elif args.kind == "lateral":
-        s = synthetic.gaussian_rate_curve(noise_frac=args.noise_frac, seed=args.seed)
-    elif args.kind == "lifetime":
-        h = synthetic.decay_histogram(poisson=args.noise_frac > 0, seed=args.seed)
+    if args.kind == "lifetime":
+        h = synthetic.decay_histogram(poisson=args.poisson, seed=args.seed)
         s = XYSeries(h.t_ns, h.counts, x_unit="t_ns", y_unit="counts")
+    elif args.kind == "g2":
+        s = synthetic.g2_histogram(poisson=args.poisson, seed=args.seed)
     else:
-        s = synthetic.g2_histogram(poisson=args.noise_frac > 0, seed=args.seed)
+        curve = {"resonance": synthetic.voigt_resonance,
+                 "lorentzian": synthetic.lorentzian_rate_curve,
+                 "lateral": synthetic.gaussian_rate_curve}[args.kind]
+        s = curve(noise_frac=args.noise_frac, seed=args.seed)
     with _output(args.output) as fh:
         fh.write(f"{s.x_unit},{s.y_unit}\n")
         for xi, yi in zip(s.x, s.y):
@@ -391,12 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("synth", help="generate seeded synthetic datasets")
-    _add_output_arg(p)
-    p.add_argument("kind", choices=["resonance", "lorentzian", "lateral",
-                                    "lifetime", "g2"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-frac", type=float, default=0.0)
     p.set_defaults(func=cmd_synth)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind in ("resonance", "lorentzian", "lateral", "lifetime", "g2"):
+        k = kinds.add_parser(kind)
+        k.add_argument("--seed", type=int, default=0)
+        _add_output_arg(k)
+        if kind in ("lifetime", "g2"):  # seeded Poisson counting noise
+            k.add_argument("--poisson", action="store_true")
+        else:  # relative size of seeded multiplicative Gaussian noise
+            k.add_argument("--noise-frac", type=float, default=0.0)
     return ap
 
 
@@ -410,7 +416,7 @@ def main(argv=None) -> int:
         except (ResonanceError, GeometryError, DomainError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PHYSICS
-        except (ConfigError, FitError, ValueError) as exc:
+        except (ConfigError, FitError, ValueError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
 

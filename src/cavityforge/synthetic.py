@@ -29,6 +29,8 @@ _G2_PEAK_SIGMA_NS, _G2_PEAK_AREA = 2.0, 2000.0
 
 def _noisy(y: np.ndarray, noise_frac: float, seed: int) -> np.ndarray:
     """y with seeded multiplicative Gaussian noise of relative size noise_frac."""
+    if not (np.isfinite(noise_frac) and noise_frac >= 0):
+        raise ValueError(f"noise_frac must be finite and >= 0, got {noise_frac}")
     if noise_frac > 0:
         y = y * (1.0 + noise_frac * np.random.default_rng(seed).standard_normal(y.size))
     return y

@@ -13,9 +13,9 @@ wavelength) samples at once, and scales by the amplitude transmission t.
 field_profile samples |E| inside each layer from the fields at its top
 face, and keeps those face fields, from which design reads the interface
 field exactly.  _layer_energies integrates E = A e^{iks} + B e^{-iks} over
-each layer in closed form, so int eps_r |E|^2 dz is exact.  Branch character
-in dispersion_map and the integrals behind diamond_energy_fraction and
-the vacuum field all come from those energies.
+each layer in closed form, so int eps_r |E|^2 dz is exact.  The diamond
+share of every dispersion_map root and the integrals behind
+diamond_energy_fraction and the vacuum field all come from those energies.
 """
 
 from __future__ import annotations
@@ -393,7 +393,8 @@ def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
     find_resonances returns, found together for all L); dlambda_dL: the
     slope, np.gradient along the root's branch; order: its mode order m of
     phi(lam; L) = 2 pi m, counted from the window's start; branch_id; and
-    character: "air-like", "diamond-like" or "mixed".
+    diamond_fraction: the exact share of int eps_r |E|^2 dz held by the
+    diamond at the root, all roots in one _layer_energies call.
 
     A branch holds the roots of one mode order, one per L.  Past the
     mirrors' stop band phi need not be monotone in lambda, and one order
@@ -401,11 +402,6 @@ def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
     its rank in lambda among its order's roots at that L.  Branches with
     fewer than two roots are dropped, and the rest are numbered by their
     first (L, lambda).
-
-    A branch's character comes from the exact in-diamond energy fraction
-    at its first, middle and last root, all branches in one
-    _layer_energies call: air-like when all three are below 0.25,
-    diamond-like when all are above 0.75, else mixed.
     """
     L_values = np.asarray(L_values, dtype=float)
     if not np.all(np.diff(L_values) > 0):
@@ -430,16 +426,18 @@ def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
     slope = np.empty(L.size)
     for a, b in zip(bounds[:-1], bounds[1:]):
         slope[a:b] = np.gradient(lams[a:b], L[a:b])
-    character = _classify_branches(assembly, L, lams, bounds)
+    _check_resonant(assembly, L, lams)
+    fraction = _diamond_fraction([ly.name for ly in assembly.layers()],
+                                 _layer_energies(assembly, L, lams))
 
     # number the branches by their first (L, lambda)
     branch_id = np.empty(first.size, int)
     branch_id[np.lexsort((lams[first], L[first]))] = np.arange(first.size)
-    branch_id, character = (np.repeat(x, np.diff(bounds)) for x in (branch_id, character))
+    branch_id = np.repeat(branch_id, np.diff(bounds))
     at = np.lexsort((branch_id, L))
     return {"L_nm": L[at], "lambda_nm": lams[at], "dlambda_dL": slope[at],
             "order": order[at].astype(int), "branch_id": branch_id[at],
-            "character": character[at]}
+            "diamond_fraction": fraction[at]}
 
 
 def _run_starts(*keys: np.ndarray) -> np.ndarray:
@@ -449,16 +447,3 @@ def _run_starts(*keys: np.ndarray) -> np.ndarray:
     for k in keys:
         new[1:] |= k[1:] != k[:-1]
     return new
-
-
-def _classify_branches(assembly: CavityAssembly, L: np.ndarray, lam: np.ndarray,
-                       bounds: np.ndarray) -> np.ndarray:
-    """Character of each branch, whose roots are (L, lam)[bounds[i]:bounds[i + 1]]."""
-    a, b = bounds[:-1], bounds[1:]
-    picked = np.stack([a, (a + b) // 2, b - 1], axis=1).ravel()
-    _check_resonant(assembly, L[picked], lam[picked])
-    names = [ly.name for ly in assembly.layers()]
-    fracs = _diamond_fraction(names, _layer_energies(assembly, L[picked], lam[picked]))
-    fracs = fracs.reshape(-1, 3)
-    return np.where(fracs.max(axis=1) < 0.25, "air-like",
-                    np.where(fracs.min(axis=1) > 0.75, "diamond-like", "mixed"))

@@ -13,6 +13,7 @@ from cavityforge.tmm import ResonanceError
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
+GOLDEN = REPO / "tests" / "golden"
 
 
 def _run(args):
@@ -144,8 +145,38 @@ def test_dispersion_csv_schema_and_determinism(tmp_path):
     assert _run(args + [str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     lines = a.read_text().splitlines()
-    assert lines[0] == "L_nm,branch_id,lambda_nm,dlambda_dL,character,transverse_order"
+    assert lines[0] == ("L_nm,branch_id,lambda_nm,dlambda_dL,diamond_fraction,"
+                        "transverse_order")
     assert len(lines) > 1
+
+
+def _dispersion_rows(path):
+    return [r.split(",") for r in path.read_text().splitlines()[1:]]
+
+
+def test_dispersion_share_does_not_depend_on_the_l_range(tmp_path):
+    # each root's diamond share is the one the full map gives it; the root
+    # at (2400 nm, 609.37634 nm) holds 0.2468, near where a label would flip
+    out = tmp_path / "x.csv"
+    assert _run(["dispersion", "--paper-baseline", "--l-min-um", "2.4",
+                 "--l-max-um", "2.5", "-o", str(out)]) == 0
+    full = {(r[0], r[2]): r[4]
+            for r in _dispersion_rows(GOLDEN / "dispersion_paper_baseline_1.5_4.5.csv")}
+    rows = _dispersion_rows(out)
+    assert ["2400", "609.37634"] in [[r[0], r[2]] for r in rows]
+    for r in rows:
+        assert full[r[0], r[2]] == r[4]
+
+
+def test_dispersion_transverse_rows_repeat_their_roots_share(tmp_path):
+    out = tmp_path / "x.csv"
+    assert _run(["dispersion", "--paper-baseline", "--l-min-um", "1.9",
+                 "--l-max-um", "2.0", "--max-transverse-order", "2", "-o", str(out)]) == 0
+    rows = _dispersion_rows(out)
+    assert [r[5] for r in rows] == ["0", "1", "2"] * (len(rows) // 3)
+    for root, *transverse in zip(rows[::3], rows[1::3], rows[2::3]):
+        assert [r[4] for r in transverse] == [root[4], root[4]]
+        assert [r[:2] for r in transverse] == [root[:2], root[:2]]
 
 
 def test_dispersion_empty_window_exits_3(tmp_path):
@@ -154,6 +185,18 @@ def test_dispersion_empty_window_exits_3(tmp_path):
                "--lambda-min-nm", "650", "--lambda-max-nm", "652",
                "-o", str(tmp_path / "x.csv")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("flags", [
+    # 3e15 L samples, and 2e16 bracket wavelengths: numpy refuses both outright
+    ["--l-step-nm", "1e-12"],
+    ["--l-min-um", "1.5", "--l-max-um", "1.6", "--lambda-max-nm", "1e14"],
+])
+def test_dispersion_grid_too_large_to_allocate_exits_2(flags, tmp_path, capsys):
+    assert _run(["dispersion", "--paper-baseline", *flags,
+                 "-o", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 def test_dispersion_needs_a_config():
@@ -226,6 +269,10 @@ def test_config_and_baseline_are_exclusive(tmp_path):
     ["fit", "lorentzian", str(DATA / "zpl2_resonance.csv"), "--period-ns", "50"],
     ["fit", "g2", str(DATA / "zpl2_resonance.csv"), "--window-start-ns", "3"],
     ["fit", "lifetime", str(DATA / "zpl2_resonance.csv"), "--norm-delay-ns", "5"],
+    # the histograms take Poisson noise, the curves a noise fraction
+    ["synth", "lifetime", "--seed", "3", "--noise-frac", "0.02"],
+    ["synth", "g2", "--seed", "3", "--noise-frac", "0.9"],
+    ["synth", "resonance", "--poisson"],
 ])
 def test_unhonoured_flags_rejected(argv):
     with pytest.raises(SystemExit) as exc:
@@ -403,14 +450,17 @@ def test_design_single_rejects_non_finite_values(point, message, tmp_path, capsy
     assert message in capsys.readouterr().err
 
 
-def test_design_sweep_keeps_non_finite_values_as_invalid_rows(tmp_path):
-    out = tmp_path / "d.csv"
-    assert _run(["design", "--t-d-nm", "198", "nan", "--l-nm", "nan", "inf", "478",
-                 "--terminations", "node", "-o", str(out)]) == 0
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert [r[3] for r in rows] == ["false", "false", "true"] + ["false"] * 3
-    assert all(r[4].startswith("GeometryError") and "not finite" in r[4]
-               for r in rows if r[3] == "false")
+@pytest.mark.parametrize("flag", ["--t-d-nm", "--l-nm"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_design_grid_rejects_non_finite_values(flag, value, tmp_path, capsys):
+    # a grid flag passes the check of a config's sweep block, alone or
+    # among finite values
+    grid = {"--t-d-nm": ["198"], "--l-nm": ["478"]}
+    grid[flag] = ["100", value]
+    argv = [x for f, v in grid.items() for x in (f, *v)]
+    assert _run(["design", *argv, "-o", str(tmp_path / "d.csv")]) == 2
+    assert (f"{flag}[1] must be a finite number, got {float(value)!r}"
+            in capsys.readouterr().err)
 
 
 def test_design_sweep_keeps_negative_gap_as_invalid_row(tmp_path):
@@ -582,6 +632,38 @@ def test_design_bad_radius_exits_2(grid, r_um, tmp_path, capsys):
 
 
 # -------------------------------------------------------------------- synth
+
+
+def _synth(tmp_path, *argv):
+    out = tmp_path / "s.csv"
+    assert _run(["synth", *argv, "-o", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["resonance", "lorentzian", "lateral"])
+def test_synth_noise_frac_sets_the_noise(kind, tmp_path):
+    clean = _synth(tmp_path, kind, "--seed", "3")
+    small = _synth(tmp_path, kind, "--seed", "3", "--noise-frac", "0.02")
+    large = _synth(tmp_path, kind, "--seed", "3", "--noise-frac", "0.9")
+    assert len({clean, small, large}) == 3
+    assert _synth(tmp_path, kind, "--seed", "3", "--noise-frac", "0") == clean
+
+
+@pytest.mark.parametrize("kind", ["lifetime", "g2"])
+def test_synth_poisson_draws_seeded_counts(kind, tmp_path):
+    clean = _synth(tmp_path, kind, "--seed", "3")
+    noisy = _synth(tmp_path, kind, "--seed", "3", "--poisson")
+    assert noisy != clean
+    assert _synth(tmp_path, kind, "--seed", "3", "--poisson") == noisy
+    assert _synth(tmp_path, kind, "--seed", "4", "--poisson") != noisy
+
+
+@pytest.mark.parametrize("kind", ["resonance", "lorentzian", "lateral"])
+@pytest.mark.parametrize("value", ["-1", "-0.02", "nan", "inf"])
+def test_synth_bad_noise_frac_exits_2(kind, value, tmp_path, capsys):
+    assert _run(["synth", kind, "--noise-frac", value, "-o", str(tmp_path / "s.csv")]) == 2
+    assert (f"noise_frac must be finite and >= 0, got {float(value)}"
+            in capsys.readouterr().err)
 
 
 def test_synth_deterministic(tmp_path):

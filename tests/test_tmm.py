@@ -398,8 +398,8 @@ def test_dispersion_branches_monotone(baseline_assembly):
         assert np.all(np.diff(lam) > 0)  # lambda_res strictly increases with L
         slopes = cols["dlambda_dL"][on]
         assert np.all((slopes > 0.0) & (slopes < 1.0))
-        assert np.unique(cols["character"][on]).size == 1
-        assert cols["character"][on][0] in ("air-like", "diamond-like", "mixed")
+        share = cols["diamond_fraction"][on]
+        assert np.all((share > 0.0) & (share < 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -529,6 +529,29 @@ def test_dispersion_columns_hold_whole_branches_in_order(paper_cavity, span):
     # rows sorted by (L, branch id), one root per branch at each L
     dL, dbid = np.diff(L), np.diff(bid)
     assert np.all((dL > 0) | ((dL == 0) & (dbid > 0)))
+
+
+@pytest.fixture(scope="module")
+def full_map_shares(paper_cavity):
+    cols = dispersion_map(paper_cavity, _MAP_L, (600.0, 700.0))
+    return dict(zip(zip(cols["L_nm"], cols["lambda_nm"]), cols["diamond_fraction"]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, _MAP_L.size - 2).flatmap(
+    lambda i: st.tuples(st.just(i), st.integers(i + 2, _MAP_L.size))))
+@example((45, 51))  # L 2400-2500 nm: the root at 609.37634 nm holds 0.2468
+def test_diamond_fraction_is_each_roots_exact_share(paper_cavity, full_map_shares, span):
+    cols = dispersion_map(paper_cavity, _MAP_L[span[0]:span[1]], (600.0, 700.0))
+    share = cols["diamond_fraction"]
+    assert np.all((share >= 0.0) & (share <= 1.0))
+    # a root's share is its own: the same float as in the full map
+    for L, lam, f in zip(cols["L_nm"], cols["lambda_nm"], share):
+        assert full_map_shares[L, lam] == f
+    # and the share of the root's field profile, at a few sampled rows
+    for i in np.linspace(0, share.size - 1, 3).astype(int):
+        prof = field_profile(paper_cavity.with_air_gap(cols["L_nm"][i]), cols["lambda_nm"][i])
+        assert abs(share[i] - diamond_energy_fraction(prof)) <= 1e-12
 
 
 def test_fold_pairs_split_into_branches(paper_cavity):
