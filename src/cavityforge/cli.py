@@ -7,6 +7,10 @@ All output is deterministic: fixed inputs give byte-identical files ('.'
 decimal separator, UTF-8, Unix newlines).  CSV outputs write floats at 9
 significant digits; JSON outputs (report, fit, --pareto-json) write
 json.dump's shortest round-trip floats.
+
+main(argv) runs one command in the calling process; run() is the entry of
+a process that runs one command and exits (``python -m cavityforge.cli``
+and the installed ``cavityforge`` command).
 """
 
 from __future__ import annotations
@@ -15,10 +19,15 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import gc
 import json
 import sys
 import warnings
 from typing import Optional
+
+if __name__ == "__main__":
+    # the command's own process: no cyclic collections while numpy loads (see run)
+    gc.disable()
 
 import numpy as np
 
@@ -26,10 +35,11 @@ from . import design as design_mod
 from . import synthetic
 from .config import ConfigError, RunConfig, _numbers, load_config, paper_baseline_dict, \
     parse_config
+from .constants import SQRT_2LN2
 from .cqed import DomainError, RatesMeasurement, coupling_report
 from .fits import DecayHistogram, FitError, XYSeries, fit_gaussian, fit_lifetime, \
     fit_lorentzian, fit_voigt, g2_pulse_areas
-from .gaussian import _FWHM_PER_W0, transverse_offsets
+from .gaussian import transverse_offsets
 from .stack import TERMINATIONS, EmitterSpec, GeometryError, _paraxial_length_um, emitter_rates
 from .tmm import ResonanceError, dispersion_map
 
@@ -134,13 +144,13 @@ def cmd_report(args) -> int:
 
     m = cfg.measured
     paper = paper_baseline_dict()["measured"]
+    gamma_bulk = emitter_rates(e)["gamma_bulk"]
     rates = None
     if "gamma_on_per_s" in m:  # the config holds both rates or neither
-        rates = RatesMeasurement(m["gamma_on_per_s"], m["gamma_off_per_s"],
-                                 emitter_rates(e)["gamma_bulk"],
+        rates = RatesMeasurement(m["gamma_on_per_s"], m["gamma_off_per_s"], gamma_bulk,
                                  m.get("dw_assumed", e.debye_waller))
     doc = coupling_report(
-        gamma_bulk=emitter_rates(e)["gamma_bulk"],
+        gamma_bulk=gamma_bulk,
         lam_nm=lam,
         n_host=e.host_index,
         E_vac=vac["E_vac_max_diamond_V_per_m"],
@@ -154,7 +164,7 @@ def cmd_report(args) -> int:
         "t_d_nm": asm.t_d,
         "lambda_res_nm": lam,
         "waist_um": w0,
-        "waist_intensity_fwhm_um": w0 * _FWHM_PER_W0,
+        "waist_intensity_fwhm_um": w0 * SQRT_2LN2,
         "waist_source": ("override" if asm.transverse_waist_fwhm_um is not None
                          else "formula"),
         **vac,
@@ -421,5 +431,18 @@ def main(argv=None) -> int:
             return EXIT_INPUT
 
 
+def run() -> int:
+    """Entry of a process that runs one command and exits: main() with the
+    cyclic garbage collector off, and everything alive at the end frozen
+    so that the collection at interpreter shutdown skips it.  The process
+    ends right after, so no cycle it leaves needs collecting; main() itself
+    leaves the collector as it finds it."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

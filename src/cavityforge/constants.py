@@ -4,6 +4,7 @@ The values are fixed: no configuration overrides them, so every
 computation in a process uses the same constants.
 """
 
+import math
 from dataclasses import dataclass
 
 
@@ -16,3 +17,7 @@ class PhysicalConstants:
 
 
 CONSTANTS = PhysicalConstants()
+
+# a Gaussian's FWHM is 2 sqrt(2 ln 2) sigma; a beam's intensity FWHM is
+# sqrt(2 ln 2) w0
+SQRT_2LN2 = math.sqrt(2.0 * math.log(2.0))

@@ -35,7 +35,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-_SQRT2LN2 = np.sqrt(2.0 * np.log(2.0))
+from .constants import SQRT_2LN2
+
 MAX_ITER = 500
 REL_TOL = 1e-10
 _FD_STEP = np.sqrt(np.finfo(float).eps)
@@ -255,7 +256,7 @@ def voigt_profile(x, center, amplitude, fwhm_g, fwhm_l, offset):
     0 < Im z <= 1e4 and |z| ~ 1e12.  A vanishing Gaussian component
     collapses to the Lorentzian limit.
     """
-    sigma = max(fwhm_g, 1e-12 * max(fwhm_l, 1.0)) / (2.0 * _SQRT2LN2)
+    sigma = max(fwhm_g, 1e-12 * max(fwhm_l, 1.0)) / (2.0 * SQRT_2LN2)
     gamma = fwhm_l / 2.0
     z = ((x - center) + 1j * gamma) / (sigma * np.sqrt(2.0))
     z0 = (1j * gamma) / (sigma * np.sqrt(2.0))
@@ -267,7 +268,7 @@ def lorentzian(x, center, fwhm, amplitude, offset):
 
 
 def gaussian(x, center, fwhm, amplitude, offset):
-    sigma = fwhm / (2.0 * _SQRT2LN2)
+    sigma = fwhm / (2.0 * SQRT_2LN2)
     return offset + amplitude * np.exp(-((x - center) ** 2) / (2.0 * sigma ** 2))
 
 

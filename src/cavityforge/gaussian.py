@@ -10,15 +10,13 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import CONSTANTS
+from .constants import CONSTANTS, SQRT_2LN2
 from .stack import GeometryError
 from .tmm import FieldProfile
 
-_FWHM_PER_W0 = np.sqrt(2.0 * np.log(2.0))  # intensity FWHM = w0 * sqrt(2 ln 2)
-
 
 def waist_from_fwhm(fwhm_um: float) -> float:
-    return fwhm_um / _FWHM_PER_W0
+    return fwhm_um / SQRT_2LN2
 
 
 def beam_waist(R_um: float, geometric_length_um: float, lam_nm: float,

@@ -298,18 +298,27 @@ def field_profile(assembly: CavityAssembly, lam_res: float) -> FieldProfile:
                         t[0] * np.array([[E[0], H[0]] for _, _, E, H in faces]))
 
 
+_PHASE_ULPS = 32  # rounding floor of _check_resonant, in units of np.spacing(4 pi L / lam)
+
+
 def _check_resonant(assembly: CavityAssembly, L: np.ndarray, lam: np.ndarray) -> None:
     """Raise ResonanceError unless each (air gap L, wavelength lam) is on
-    resonance: its round-trip phase within one cold linewidth of 2 pi m."""
+    resonance: its round-trip phase within one cold linewidth of 2 pi m.
+
+    The tolerance is never below _PHASE_ULPS ulps of 4 pi L / lam.  Behind
+    thick mirrors the linewidth falls below the rounding of that phase,
+    which _phase_roots' roots carry too (measured: up to 10 ulps)."""
     z = _round_trip(assembly, lam)
-    miss = np.abs(np.angle(z * np.exp(4j * np.pi * L / lam)))
-    width = _fwhm_phase(assembly, z)
-    bad = np.flatnonzero(miss > width)
+    phase = 4.0 * np.pi * L / lam
+    miss = np.abs(np.angle(z * np.exp(1j * phase)))
+    tol = np.maximum(_fwhm_phase(assembly, z), _PHASE_ULPS * np.spacing(phase))
+    bad = np.flatnonzero(miss > tol)
     if bad.size:
         i = bad[0]
         raise ResonanceError(
             f"{float(lam[i])} nm is off resonance: its round-trip phase misses "
-            f"2 pi m by {miss[i]:.4g} rad, more than one linewidth ({width[i]:.4g} rad)")
+            f"2 pi m by {miss[i]:.4g} rad, more than one linewidth or the phase's "
+            f"rounding ({tol[i]:.4g} rad)")
 
 
 def _layer_energy(n: complex, d, lam, E, H):

@@ -603,6 +603,26 @@ def test_thick_bottom_mirror_with_an_underflowing_diamond_field_exits_3(pairs, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pairs", [54, 200])
+@pytest.mark.parametrize("command", [
+    ["dispersion", "--l-min-um", "1.9", "--l-max-um", "1.96"],
+    ["report"],
+])
+def test_thick_mirrors_on_both_sides_keep_their_own_roots(command, pairs, tmp_path, capsys):
+    # the cold linewidth in phase falls below the rounding of 4 pi L / lam,
+    # and the resonance check must still accept the roots the solver found
+    from cavityforge.config import paper_baseline_dict
+    doc = paper_baseline_dict()
+    doc["cavity"]["bottom_mirror"]["pairs"] = doc["cavity"]["top_mirror"]["pairs"] = pairs
+    cfg, out = tmp_path / "c.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run([*command, "--config", str(cfg), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text()
+
+
 @pytest.mark.parametrize("mirror", ["bottom_mirror", "top_mirror"])
 def test_dispersion_with_either_mirror_at_the_pairs_bound_runs_clean(mirror, tmp_path, capsys):
     # at the bound each mirror's matrix nears the largest float, and the

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavityforge.constants import CONSTANTS
-from cavityforge.gaussian import (_FWHM_PER_W0, beam_waist, effective_area,
+from cavityforge.constants import CONSTANTS, SQRT_2LN2
+from cavityforge.gaussian import (beam_waist, effective_area,
                                   transverse_offsets, vacuum_field, waist_from_fwhm)
 from cavityforge.stack import GeometryError, MirrorSpec, assemble_cavity
 from cavityforge.tmm import FieldProfile, field_profile, find_resonances
@@ -15,7 +15,7 @@ from cavityforge.tmm import FieldProfile, field_profile, find_resonances
 
 
 def test_fwhm_waist_conversion_exact():
-    fwhm = 1.0 * _FWHM_PER_W0
+    fwhm = 1.0 * SQRT_2LN2
     assert fwhm == pytest.approx(np.sqrt(2 * np.log(2)), rel=1e-14)
     assert waist_from_fwhm(fwhm) == pytest.approx(1.0, rel=1e-14)
 
@@ -26,7 +26,7 @@ def test_plano_concave_waist_formula():
     want = np.sqrt((lam_um / np.pi) * np.sqrt(2.73 * (16.0 - 2.73)))
     assert w0 == pytest.approx(want, rel=1e-12)
     assert w0 == pytest.approx(1.10, abs=0.01)
-    assert w0 * _FWHM_PER_W0 == pytest.approx(1.30, abs=0.01)
+    assert w0 * SQRT_2LN2 == pytest.approx(1.30, abs=0.01)
 
 
 def test_waist_override_takes_precedence():

@@ -251,6 +251,22 @@ def test_field_profile_resonance_check_is_one_linewidth(baseline_assembly):
         field_profile(baseline_assembly, lam - 1.1 * w)
 
 
+def test_resonance_check_floor_is_the_phase_rounding():
+    # behind 54 pairs per mirror the cold linewidth in phase (~4e-16 rad) is
+    # below the rounding of 4 pi L / lam (~7e-15 rad at 38 rad): the check
+    # accepts every root the solver finds and still rejects a wavelength
+    # 1e-10 nm off, ~6e-12 rad or ~26 times its rounding floor
+    m = MirrorSpec(pairs=54, center_wavelength=637.0)
+    asm = assemble_cavity(m, t_d=770.0, L=1936.0, top=m, R_um=16.0, waist_fwhm_um=0.83)
+    res = find_resonances(asm, (630.0, 645.0))
+    assert res and max(abs(r["cold_linewidth_nm"]) for r in res) < 1e-13
+    for r in res:
+        field_profile(asm, r["lambda_res"])
+        for off in (-1e-10, 1e-10):
+            with pytest.raises(ResonanceError, match="is off resonance"):
+                field_profile(asm, r["lambda_res"] + off)
+
+
 def test_diamond_energy_fraction_bounds(baseline_resonant):
     asm, lam = baseline_resonant
     prof = field_profile(asm, lam)
