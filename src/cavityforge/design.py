@@ -24,8 +24,8 @@ ETA_DEBYE_WALLER = 0.020
 # improved-mirror geometry for proposed cavities (shallow ablated dimple)
 DESIGN_RADIUS_UM = 5.5
 
-# air gaps farther than this from the nominal one are not tuned to
-SEARCH_HALFWIDTH_NM = 170.0
+# the thinnest air gap tuned to
+MIN_AIR_GAP_NM = 50.0
 
 
 def design_mirrors(center_wavelength: float = EmitterSpec.zpl_wavelength):
@@ -60,26 +60,19 @@ class DesignPoint:
 
 
 def _tune_air_gap(assembly: CavityAssembly, lam: float) -> CavityAssembly:
-    """The assembly with the air gap nearest its own L whose resonance sits
-    at lam.
+    """The assembly with the air gap nearest its own L, among those of at
+    least MIN_AIR_GAP_NM, whose resonance sits at lam.
 
     Closes the round-trip phase of the gap, 4 pi L / lam + arg r_b + arg r_t
     = 2 pi m, with r_b (diamond plus bottom DBR) and r_t (top DBR) the
     reflection coefficients seen from the air.  The candidate gaps are
-    spaced by lam / 2.
+    spaced by lam / 2, so one always lies at or above the floor.
     """
-    L_nominal = assembly.L
     offset = -np.angle(_round_trip(assembly, np.array([lam]))[0]) * lam / (4.0 * np.pi)
     period = lam / 2.0
-    lo = max(L_nominal - SEARCH_HALFWIDTH_NM, 50.0)
-    hi = L_nominal + SEARCH_HALFWIDTH_NM
-    orders = np.arange(np.ceil((lo - offset) / period),
-                       np.floor((hi - offset) / period) + 1)
-    if not orders.size:
-        raise ResonanceError(
-            f"no resonance at {lam} nm within {SEARCH_HALFWIDTH_NM} nm of L={L_nominal} nm")
-    gaps = offset + period * orders
-    return assembly.with_air_gap(float(gaps[np.argmin(np.abs(gaps - L_nominal))]))
+    order = max(np.rint((assembly.L - offset) / period),
+                np.ceil((MIN_AIR_GAP_NM - offset) / period))
+    return assembly.with_air_gap(float(offset + period * order))
 
 
 def cavity_mode(assembly: CavityAssembly, lam: float):

@@ -64,48 +64,39 @@ def vacuum_field(profile: FieldProfile, A_eff_um2: float) -> dict:
     """Vacuum-field normalization of a resonant standing-wave profile, as
     the dict report writes under "cavity": A_eff_um2, V_eff_um3,
     E_vac_max_diamond_V_per_m (at the diamond-internal field maximum),
-    E_vac_global_max_V_per_m (at the global optimum), z_max_diamond_nm and
+    E_vac_global_max_V_per_m (at the global maximum), z_max_diamond_nm and
     z_max_global_nm.
 
-    V_eff = A_eff * int eps_r(z) |f(z)|^2 dz / (eps_r(z*) |f(z*)|^2) with z*
-    the diamond-internal field maximum; E_vac(z*) = sqrt(hbar w / (2 eps0
-    eps_r(z*) V_eff)).  The global-maximum variant (z* chosen to maximize
-    E_vac anywhere in the stack) is reported alongside.  The integral is
-    the profile's exact layer energies; the maxima are read from its
-    samples.  A V_eff past the float range raises GeometryError.
+    With U = int eps_r |f|^2 dz, the profile's exact layer energies summed,
+    V_eff = A_eff U / (eps_r(z*) |f(z*)|^2) and E_vac(z*) = sqrt(hbar w /
+    (2 eps0 eps_r(z*) V_eff)), so eps_r(z*) cancels and at every z
+    E_vac(z) = |f(z)| sqrt(hbar w / (2 eps0 A_eff U)) (van Dam et al.,
+    NJP 20, 115004 (2018)).  The maxima are read from the profile's
+    samples: the diamond's over the samples between its layer edges, the
+    global one over all.  V_eff is reported at the diamond maximum, with
+    the diamond's permittivity; one past the float range raises
+    GeometryError.
     """
-    z, amp, eps = profile.z, profile.amplitude, profile.eps_r
-    integral = float(profile.layer_energy.sum())  # exact, nm * (eps |f|^2) units
-
-    dmask = profile.mask_for_layer("diamond")
-    if not dmask.any():
+    if "diamond" not in profile.layer_names:
         raise GeometryError("profile has no diamond layer; diamond-maximum undefined")
-
-    def evac_at(i: int) -> float:
-        # hbar w / (2 eps0 eps_r V_eff), V_eff = A * integral/(eps_i f_i^2)
-        V_eff_m3 = (A_eff_um2 * 1e-12) * (integral * 1e-9) / (eps[i] * amp[i] ** 2)
-        w = 2.0 * np.pi * CONSTANTS.c / (profile.resonant_wavelength * 1e-9)
-        return float(np.sqrt(CONSTANTS.hbar * w / (2.0 * CONSTANTS.eps0 * eps[i] * V_eff_m3)))
-
-    # E_vac at z is prop. to |f(z)| (the eps factors cancel), so the maxima
-    # are the field maxima.  Layer boundaries carry duplicate samples from
-    # both sides; break ties toward the diamond-side sample (largest eps)
-    # so the reported eps_r and integral refer to the diamond.
-    didx = np.flatnonzero(dmask)
-    amax = amp[didx].max()
-    cand = didx[amp[didx] >= amax - 1e-12 * amax]
-    i_d = int(cand[np.argmax(eps[cand])])
+    k = profile.layer_names.index("diamond")
+    z, amp = profile.z, profile.amplitude
+    inside = np.flatnonzero((z >= profile.layer_edges[k]) & (z <= profile.layer_edges[k + 1]))
+    i_d = int(inside[np.argmax(amp[inside])])
     i_g = int(np.argmax(amp))
+    energy = float(profile.layer_energy.sum())  # nm, in eps_r |f|^2 units
     with np.errstate(all="ignore"):  # behind a thick bottom mirror amp[i_d] ** 2 underflows
-        V_eff_um3 = A_eff_um2 * (integral * 1e-3) / (eps[i_d] * amp[i_d] ** 2)
+        V_eff_um3 = A_eff_um2 * (energy * 1e-3) / (profile.layer_eps_r[k] * amp[i_d] ** 2)
     if not np.isfinite(V_eff_um3):
         raise GeometryError(f"V_eff is not finite: the diamond's field maximum is {amp[i_d]:.3g}")
-    e_d, e_g = evac_at(i_d), evac_at(i_g)
+    w = 2.0 * np.pi * CONSTANTS.c / (profile.resonant_wavelength * 1e-9)
+    scale = np.sqrt(CONSTANTS.hbar * w / (2.0 * CONSTANTS.eps0 * (A_eff_um2 * 1e-12)
+                                          * (energy * 1e-9)))
     return {
         "A_eff_um2": float(A_eff_um2),
         "V_eff_um3": float(V_eff_um3),
-        "E_vac_max_diamond_V_per_m": e_d,
-        "E_vac_global_max_V_per_m": e_g,
+        "E_vac_max_diamond_V_per_m": float(scale * amp[i_d]),
+        "E_vac_global_max_V_per_m": float(scale * amp[i_g]),
         "z_max_diamond_nm": float(z[i_d]),
         "z_max_global_nm": float(z[i_g]),
     }

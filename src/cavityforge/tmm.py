@@ -41,19 +41,12 @@ class StackResponse:
 class FieldProfile:
     z: np.ndarray                  # nm, from the bottom substrate interface
     amplitude: np.ndarray          # |E(z)|, relative units
-    eps_r: np.ndarray              # relative permittivity at each sample
     resonant_wavelength: float
     layer_edges: np.ndarray        # interface positions, nm
     layer_names: list[str]
+    layer_eps_r: np.ndarray        # relative permittivity of each layer
     layer_energy: np.ndarray       # exact int eps_r |E|^2 dz of each layer, nm
     faces: np.ndarray              # [E, H] at each layer's top face, (layer, 2)
-
-    def mask_for_layer(self, name: str) -> np.ndarray:
-        mask = np.zeros_like(self.z, dtype=bool)
-        for i, nm_ in enumerate(self.layer_names):
-            if nm_ == name:
-                mask |= (self.z >= self.layer_edges[i]) & (self.z <= self.layer_edges[i + 1])
-        return mask
 
 
 class ResonanceError(RuntimeError):
@@ -161,10 +154,11 @@ def _round_trip(assembly: CavityAssembly, lams: np.ndarray) -> np.ndarray:
 
 def _fwhm_phase(assembly: CavityAssembly, z):
     """Cold FWHM of the Airy peak in round-trip phase, 2 (1 - rho) / sqrt(rho),
-    where rho = |z| sqrt((1 - l_b)(1 - l_t)) counts the mirrors' lumped losses."""
+    where rho = |z| sqrt((1 - l_b)(1 - l_t)) counts the mirrors' lumped losses.
+    Behind thick lossless mirrors rho rounds above 1; the width is then 0."""
     rho = np.abs(z) * np.sqrt((1.0 - assembly.bottom_mirror.lumped_loss)
                               * (1.0 - assembly.top_mirror.lumped_loss))
-    return 2.0 * (1.0 - rho) / np.sqrt(rho)
+    return 2.0 * np.maximum(1.0 - rho, 0.0) / np.sqrt(rho)
 
 
 _SCAN_STEP = 0.005  # nm, the lattice that brackets the phase roots
@@ -251,15 +245,18 @@ def find_resonances(assembly: CavityAssembly, lam_window: tuple[float, float]) -
     mirrors' lumped-loss factor sqrt((1 - l_b)(1 - l_t)).
 
     Returns one dict per resonance: lambda_res (nm), cold_linewidth_nm,
-    Q_cold, peak_transmission.  Empty list when no root lies in the window.
+    Q_cold (inf at a width of 0), peak_transmission.  Empty list when no
+    root lies in the window.
     """
     _, lams, _, widths = _phase_roots(assembly, lam_window, np.array([assembly.L]))
     T0 = transmission_spectrum(assembly.layers(), assembly.n_in, assembly.n_out, lams)
+    with np.errstate(divide="ignore"):  # a width of 0 has an infinite Q
+        Q = lams / widths
     return [{"lambda_res": float(lam),
              "cold_linewidth_nm": float(w),
-             "Q_cold": float(lam / w),
+             "Q_cold": float(q),
              "peak_transmission": float(t0)}
-            for lam, w, t0 in zip(lams, widths, T0)]
+            for lam, w, q, t0 in zip(lams, widths, Q, T0)]
 
 
 _MIN_SAMPLES = 2000  # lower bound on field_profile's sample count over the stack
@@ -280,7 +277,7 @@ def field_profile(assembly: CavityAssembly, lam_res: float) -> FieldProfile:
     faces = [f for f in faces if f[1] > 0]
     edges = np.concatenate([[0.0], np.cumsum([d for _, d, _, _ in faces])])
 
-    zs, amps, eps, energy = [], [], [], []
+    zs, amps, energy = [], [], []
     # inside a layer, [E(z); H(z)] = M(distance from z up to the top face) [E; H]_top
     for (ly, d, E, H), z0 in zip(faces, edges):
         dz = min(lam_res / (20.0 * ly.n.real), edges[-1] / _MIN_SAMPLES)
@@ -288,12 +285,12 @@ def field_profile(assembly: CavityAssembly, lam_res: float) -> FieldProfile:
         c, a, _, _ = _layer_entries(ly.n, d - z_local, lam_res)
         zs.append(z0 + z_local)
         amps.append(np.abs(t * (c * E + a * H)))
-        eps.append(np.full(z_local.size, (ly.n ** 2).real))
         energy.append(_layer_energy(ly.n, d, lam, t * E, t * H))
 
     # bottom first, so z is already in order; interfaces carry two samples
-    return FieldProfile(np.concatenate(zs), np.concatenate(amps), np.concatenate(eps),
-                        lam_res, edges, [ly.name for ly, _, _, _ in faces],
+    return FieldProfile(np.concatenate(zs), np.concatenate(amps), lam_res, edges,
+                        [ly.name for ly, _, _, _ in faces],
+                        np.array([(ly.n ** 2).real for ly, _, _, _ in faces]),
                         np.array(energy)[:, 0],
                         t[0] * np.array([[E[0], H[0]] for _, _, E, H in faces]))
 

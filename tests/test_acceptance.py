@@ -261,10 +261,9 @@ def test_criterion_8b_vacuum_normalization_half_quantum():
     z = np.linspace(0.0, 955.5, 20001)
     amp = np.abs(np.sin(np.pi * 3 * z / 955.5))
     from cavityforge.tmm import FieldProfile
-    prof = FieldProfile(z=z, amplitude=amp, eps_r=np.ones_like(z),
-                        resonant_wavelength=637.0,
-                        layer_edges=np.array([0.0, 955.5]),
-                        layer_names=["diamond"], layer_energy=np.array([955.5 / 2]),
+    prof = FieldProfile(z=z, amplitude=amp, resonant_wavelength=637.0,
+                        layer_edges=np.array([0.0, 955.5]), layer_names=["diamond"],
+                        layer_eps_r=np.array([1.0]), layer_energy=np.array([955.5 / 2]),
                         faces=np.zeros((1, 2), complex))
     rep = vacuum_field(prof, 0.781)
     i_star = int(np.argmin(np.abs(prof.z - rep["z_max_diamond_nm"])))

@@ -433,6 +433,17 @@ def test_design_single_without_membrane_exits_3(tmp_path, capsys):
     assert "no diamond layer" in capsys.readouterr().err
 
 
+def test_design_single_gap_below_the_floor_tunes_to_the_first_gap_above_it(tmp_path, capsys):
+    # the nearest resonant gap to 60 nm lies under the 50 nm floor; the
+    # point tunes to the next one, ~343 nm, and exits 0
+    out = tmp_path / "d.csv"
+    assert _run(["design", "--single", "t_d_nm=260", "L_nm=60", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
+    assert row["valid"] == "true"
+    assert float(row["L_tuned_nm"]) == pytest.approx(343.15, abs=0.01)
+
+
 def test_design_single_negative_gap_exits_3(tmp_path, capsys):
     assert _run(["design", "--single", "t_d_nm=198", "L_nm=-5",
                  "-o", str(tmp_path / "d.csv")]) == 3

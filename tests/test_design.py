@@ -25,6 +25,9 @@ def test_design_mirrors_low_index_terminated():
     ((MirrorSpec(15, 637.0), MirrorSpec(14, 637.0)), 770.0, 1960.0, 16.0),
     (design_mirrors(), 198.0, 478.0, 5.5),
     (design_mirrors(), 132.0, 637.0, 5.5),
+    # the nearest resonant gap lies below the 50 nm floor: both starts take
+    # the first one above it, ~343 nm
+    (design_mirrors(), 260.0, 60.0, 5.5),
 ])
 def test_tune_air_gap_is_exact_and_independent_of_start(mirrors, t_d, L, R_um):
     bottom, top = mirrors

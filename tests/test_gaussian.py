@@ -78,10 +78,10 @@ def test_effective_area_values():
 def _sine_profile(L_nm=955.5, lam=637.0, n_samples=20001):
     z = np.linspace(0.0, L_nm, n_samples)
     amp = np.abs(np.sin(np.pi * 3 * z / L_nm))  # q = 3 standing wave
-    eps = np.ones_like(z)
     return FieldProfile(
-        z=z, amplitude=amp, eps_r=eps, resonant_wavelength=lam,
+        z=z, amplitude=amp, resonant_wavelength=lam,
         layer_edges=np.array([0.0, L_nm]), layer_names=["diamond"],
+        layer_eps_r=np.array([1.0]),
         layer_energy=np.array([L_nm / 2]),  # int sin^2 over three half-waves
         faces=np.zeros((1, 2), complex),    # vacuum_field reads no face fields
     )
@@ -106,7 +106,7 @@ def test_vacuum_energy_is_half_quantum():
     rep = vacuum_field(prof, A_um2)
     i_star = int(np.argmin(np.abs(prof.z - rep["z_max_diamond_nm"])))
     E = rep["E_vac_max_diamond_V_per_m"] * prof.amplitude / prof.amplitude[i_star]
-    energy = CONSTANTS.eps0 * np.trapezoid(prof.eps_r * E ** 2, prof.z * 1e-9) \
+    energy = CONSTANTS.eps0 * np.trapezoid(prof.layer_eps_r[0] * E ** 2, prof.z * 1e-9) \
         * A_um2 * 1e-12
     w = 2 * np.pi * CONSTANTS.c / 637.0e-9
     assert energy == pytest.approx(CONSTANTS.hbar * w / 2.0, rel=1e-6)
@@ -126,6 +126,30 @@ def test_vacuum_field_requires_diamond_layer():
     prof.layer_names[0] = "air"
     with pytest.raises(ValueError):
         vacuum_field(prof, 1.0)
+
+
+def test_maximum_on_the_diamond_air_face_keeps_the_diamond_permittivity():
+    # a diamond (eps 5.8) under an air gap, its field largest on their shared
+    # face, where the air-side duplicate sample is 1 ulp above the diamond's
+    eps_d, lam, A_um2 = 2.41 ** 2, 637.0, 0.781
+    z = np.array([0.0, 50.0, 100.0, 100.0, 150.0, 200.0])
+    f_face = 0.9
+    amp = np.array([0.2, 0.5, f_face, np.nextafter(f_face, 2.0), 0.6, 0.3])
+    energy = np.array([40.0, 30.0])
+    prof = FieldProfile(
+        z=z, amplitude=amp, resonant_wavelength=lam,
+        layer_edges=np.array([0.0, 100.0, 200.0]), layer_names=["diamond", "air"],
+        layer_eps_r=np.array([eps_d, 1.0]), layer_energy=energy,
+        faces=np.zeros((2, 2), complex))
+    rep = vacuum_field(prof, A_um2)
+    w = 2 * np.pi * CONSTANTS.c / (lam * 1e-9)
+    scale = np.sqrt(CONSTANTS.hbar * w / (2 * CONSTANTS.eps0 * A_um2 * 1e-12
+                                          * energy.sum() * 1e-9))
+    assert rep["z_max_diamond_nm"] == rep["z_max_global_nm"] == 100.0
+    assert rep["E_vac_max_diamond_V_per_m"] == pytest.approx(scale * amp.max(), rel=1e-15)
+    assert rep["E_vac_global_max_V_per_m"] == rep["E_vac_max_diamond_V_per_m"]
+    assert rep["V_eff_um3"] == pytest.approx(
+        A_um2 * energy.sum() * 1e-3 / (eps_d * f_face ** 2), rel=1e-15)
 
 
 def test_global_max_at_least_diamond_max():

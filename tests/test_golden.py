@@ -18,6 +18,9 @@ GOLDEN = REPO / "tests" / "golden"
 
 CASES = {
     "report_paper_baseline.json": ["report", "--paper-baseline"],
+    # the baseline behind a 30-pair bottom mirror (its config sits beside it)
+    "report_bottom30_top14.json": ["report", "--config",
+                                   str(GOLDEN / "config_bottom30_top14.json")],
     "design_single_132_637.csv": ["design", "--single", "t_d_nm=132", "L_nm=637"],
     "design_single_198_478.csv": ["design", "--single", "t_d_nm=198", "L_nm=478"],
     "design_sweep_3x3x2.csv": ["design", "--t-d-nm", "132", "198", "264",
