@@ -37,8 +37,8 @@ from .config import ConfigError, RunConfig, _numbers, load_config, paper_baselin
     parse_config
 from .constants import SQRT_2LN2
 from .cqed import DomainError, RatesMeasurement, coupling_report
-from .fits import DecayHistogram, FitError, XYSeries, fit_gaussian, fit_lifetime, \
-    fit_lorentzian, fit_voigt, g2_pulse_areas
+from .fits import FIT_WINDOW_START_NS, IRF_SIGMA_NS, FitError, XYSeries, fit_gaussian, \
+    fit_lifetime, fit_lorentzian, fit_voigt, g2_pulse_areas
 from .gaussian import transverse_offsets
 from .stack import TERMINATIONS, EmitterSpec, GeometryError, _paraxial_length_um, emitter_rates
 from .tmm import ResonanceError, dispersion_map
@@ -175,7 +175,8 @@ def cmd_report(args) -> int:
 
 # ----------------------------------------------------------------------- fit
 
-def _read_csv(path: str):
+def _read_csv(path: str) -> XYSeries:
+    """The checked two-column series of a fit CSV, in its header's units."""
     try:
         with open(path, encoding="utf-8") as fh:
             # lines of only whitespace and commas hold no cell; skip them
@@ -188,13 +189,8 @@ def _read_csv(path: str):
     if len(header) != 2:
         raise ConfigError(f"{path}: expected exactly two columns, got {len(header)}")
     for name in header:
-        ok = name in _UNITLESS_COLUMNS or name.endswith(_UNIT_SUFFIXES)
-        try:
-            float(name)
-            ok = False  # numeric header means the unit row is missing
-        except ValueError:
-            pass
-        if not ok:
+        # no number ends in a unit suffix, so a missing header row fails here too
+        if not (name in _UNITLESS_COLUMNS or name.endswith(_UNIT_SUFFIXES)):
             raise ConfigError(
                 f"{path}: column {name!r} does not declare a unit "
                 f"(suffixes {', '.join(_UNIT_SUFFIXES)} or {sorted(_UNITLESS_COLUMNS)})")
@@ -205,16 +201,15 @@ def _read_csv(path: str):
         raise ConfigError(f"{path}: non-numeric or ragged data row: {exc}") from exc
     if data.shape[1] != 2:
         raise ConfigError(f"{path}: expected two values per data row, got {data.shape[1]}")
-    return header, data[:, 0], data[:, 1]
+    return XYSeries(data[:, 0], data[:, 1], x_unit=header[0], y_unit=header[1])
 
 
 def cmd_fit(args) -> int:
     """Write the fit of args.data as JSON; exit 4 when it did not converge."""
-    header, x, y = _read_csv(args.data)
+    data = _read_csv(args.data)
     if args.kind == "g2":
         # peak-area normalization, no iterative solve
-        out = g2_pulse_areas(XYSeries(x, y, x_unit=header[0], y_unit=header[1]),
-                             args.period_ns, args.window_ns, args.norm_delay_ns)
+        out = g2_pulse_areas(data, args.period_ns, args.window_ns, args.norm_delay_ns)
         doc = {
             "g2_zero": out["g2_zero"],
             "normalization_area": out["normalization_area"],
@@ -223,16 +218,15 @@ def cmd_fit(args) -> int:
             "areas": {str(k): v for k, v in sorted(out["areas"].items())},
         }
     elif args.kind == "lifetime":
-        h = DecayHistogram(x, y, irf_sigma_ns=args.irf_sigma_ns,
-                           fit_window_start_ns=args.window_start_ns)
-        doc = {**fit_lifetime(h).as_dict(), "irf_sigma_ns": args.irf_sigma_ns,
+        fit = fit_lifetime(data, args.irf_sigma_ns, args.window_start_ns)
+        doc = {**fit.as_dict(), "irf_sigma_ns": args.irf_sigma_ns,
                "fit_window_start_ns": args.window_start_ns}
     else:
         fit = {"voigt": fit_voigt, "lorentzian": fit_lorentzian,
                "gaussian": fit_gaussian}[args.kind]
-        doc = fit(XYSeries(x, y, x_unit=header[0], y_unit=header[1])).as_dict()
+        doc = fit(data).as_dict()
     doc["kind"] = args.kind
-    doc["x_unit"], doc["y_unit"] = header
+    doc["x_unit"], doc["y_unit"] = data.x_unit, data.y_unit
     _write_json(doc, args.output)
     return EXIT_OK if doc.get("converged", True) else EXIT_NOCONV
 
@@ -324,8 +318,7 @@ def cmd_design(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.kind == "lifetime":
-        h = synthetic.decay_histogram(poisson=args.poisson, seed=args.seed)
-        s = XYSeries(h.t_ns, h.counts, x_unit="t_ns", y_unit="counts")
+        s = synthetic.decay_histogram(poisson=args.poisson, seed=args.seed)
     elif args.kind == "g2":
         s = synthetic.g2_histogram(poisson=args.poisson, seed=args.seed)
     else:
@@ -382,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
         k.add_argument("data", help="two-column CSV with unit-declaring header")
         _add_output_arg(k)
     k = fit_kinds["lifetime"]
-    k.add_argument("--irf-sigma-ns", type=float, default=DecayHistogram.irf_sigma_ns)
-    k.add_argument("--window-start-ns", type=float, default=DecayHistogram.fit_window_start_ns)
+    k.add_argument("--irf-sigma-ns", type=float, default=IRF_SIGMA_NS)
+    k.add_argument("--window-start-ns", type=float, default=FIT_WINDOW_START_NS)
     k = fit_kinds["g2"]
     k.add_argument("--period-ns", type=float, default=100.0)
     k.add_argument("--window-ns", type=float, default=20.0)

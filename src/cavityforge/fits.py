@@ -39,6 +39,9 @@ from .constants import SQRT_2LN2
 
 MAX_ITER = 500
 REL_TOL = 1e-10
+# fit_lifetime's defaults: the Gaussian IRF's sigma and the start of the fit window
+IRF_SIGMA_NS = 0.2
+FIT_WINDOW_START_NS = 3.0
 _FD_STEP = np.sqrt(np.finfo(float).eps)
 
 # Weideman's N = 40 series: 40 real coefficients, the cosine sum of
@@ -79,6 +82,12 @@ class XYSeries:
             raise ValueError("x must be strictly increasing")
 
 
+def _check_counts(y: np.ndarray):
+    """Raise unless every bin of a histogram holds at least zero counts."""
+    if np.any(y < 0):
+        raise ValueError("counts must be non-negative")
+
+
 @dataclass
 class FitResult:
     params: dict
@@ -86,7 +95,6 @@ class FitResult:
     reduced_chi2: float
     converged: bool
     iterations: int
-    residuals: np.ndarray
     degenerate: bool = False
     notes: list = field(default_factory=list)
 
@@ -100,29 +108,6 @@ class FitResult:
             "degenerate": bool(self.degenerate),
             "notes": list(self.notes),
         }
-
-
-@dataclass(frozen=True)
-class DecayHistogram:
-    t_ns: np.ndarray
-    counts: np.ndarray
-    irf_sigma_ns: float = 0.2
-    fit_window_start_ns: float = 3.0
-
-    def __post_init__(self):
-        t = np.asarray(self.t_ns, dtype=float)
-        c = np.asarray(self.counts, dtype=float)
-        object.__setattr__(self, "t_ns", t)
-        object.__setattr__(self, "counts", c)
-        if t.shape != c.shape:
-            raise ValueError("bin/count lengths differ")
-        widths = np.diff(t)
-        if widths.size and not np.allclose(widths, widths[0], rtol=1e-6):
-            raise ValueError("bin width must be uniform")
-        if np.any(c < 0):
-            raise ValueError("counts must be non-negative")
-        if not (np.isfinite(self.irf_sigma_ns) and self.irf_sigma_ns >= 0):
-            raise ValueError(f"irf_sigma_ns must be finite and >= 0, got {self.irf_sigma_ns}")
 
 
 def _jacobian(fun: Callable, x: np.ndarray, f: np.ndarray,
@@ -218,7 +203,6 @@ def _solve(residual_fn: Callable, p0: np.ndarray, names: list[str],
         reduced_chi2=chi2,
         converged=converged,
         iterations=nfev,
-        residuals=res,
     )
 
 
@@ -340,15 +324,23 @@ def exp_gauss_decay(t, tau, amplitude, baseline, sigma):
                                                  2.0 * np.exp(np.minimum(a, 0.0)) - g)
 
 
-def fit_lifetime(h: DecayHistogram) -> FitResult:
-    """Poisson-weighted exGaussian fit of bins with t >= fit_window_start.
+def fit_lifetime(h: XYSeries, irf_sigma_ns: float = IRF_SIGMA_NS,
+                 window_start_ns: float = FIT_WINDOW_START_NS) -> FitResult:
+    """Poisson-weighted exGaussian fit of the bins h.x >= window_start_ns of
+    a histogram of uniform bins.
 
     tau is bounded below by 1e-3 max(bin width, IRF sigma); a fit that ends
     there is degenerate and not converged."""
-    mask = h.t_ns >= h.fit_window_start_ns
+    widths = np.diff(h.x)
+    if widths.size and not np.allclose(widths, widths[0], rtol=1e-6):
+        raise ValueError("bin width must be uniform")
+    _check_counts(h.y)
+    if not (np.isfinite(irf_sigma_ns) and irf_sigma_ns >= 0):
+        raise ValueError(f"irf_sigma_ns must be finite and >= 0, got {irf_sigma_ns}")
+    mask = h.x >= window_start_ns
     if not mask.any():
         raise FitError("fit window excludes all bins")
-    t, c = h.t_ns[mask], h.counts[mask]
+    t, c = h.x[mask], h.y[mask]
     if not np.any(c > 0):
         raise FitError("no counts inside the fit window")
     w = 1.0 / np.sqrt(np.maximum(c, 1.0))
@@ -364,11 +356,11 @@ def fit_lifetime(h: DecayHistogram) -> FitResult:
     tau0 = max(tau0, bin_ns)
     # tau's lower bound, the resolution floor: a decay far faster than both
     # a bin and the IRF is not identifiable
-    floor = 1e-3 * max(bin_ns, h.irf_sigma_ns)
+    floor = 1e-3 * max(bin_ns, irf_sigma_ns)
 
     def resid(p):
         tau, amp, base = p
-        return w * (exp_gauss_decay(t, tau, amp, base, h.irf_sigma_ns) - c)
+        return w * (exp_gauss_decay(t, tau, amp, base, irf_sigma_ns) - c)
 
     out = _solve(resid, np.array([tau0, amp0, base0]),
                  ["tau_ns", "amplitude", "baseline"],
@@ -392,6 +384,7 @@ def g2_pulse_areas(histogram: XYSeries, pulse_period_ns: float, window_ns: float
     if not (pulse_period_ns > window_ns > 0):
         raise ValueError("need pulse_period > window > 0")
     t, y = histogram.x, histogram.y
+    _check_counts(y)
     span_lo = int(np.ceil((t[0] + window_ns / 2) / pulse_period_ns))
     span_hi = int(np.floor((t[-1] - window_ns / 2) / pulse_period_ns))
     if span_hi - span_lo < 6:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import paper_baseline_dict
-from .fits import DecayHistogram, XYSeries, exp_gauss_decay, gaussian, lorentzian, voigt_profile
+from .fits import IRF_SIGMA_NS, XYSeries, exp_gauss_decay, gaussian, lorentzian, voigt_profile
 from .stack import EmitterSpec
 
 _PAPER = paper_baseline_dict()["measured"]
@@ -60,16 +60,16 @@ def gaussian_rate_curve(noise_frac: float = 0.0, seed: int = 0) -> XYSeries:
 
 def decay_histogram(tau_ns: float = EmitterSpec.bulk_lifetime_ns, fast_tau_ns: float = 0.0,
                     fast_amplitude: float = 0.0, poisson: bool = False,
-                    seed: int = 0) -> DecayHistogram:
+                    seed: int = 0) -> XYSeries:
     """Pulsed-excitation decay histogram, optionally with a fast background
     component (rejected by the fit window) and Poisson counting noise."""
     t = np.arange(0.0, _DECAY_T_MAX_NS + _DECAY_BIN_NS / 2, _DECAY_BIN_NS)
-    y = exp_gauss_decay(t, tau_ns, _DECAY_AMPLITUDE, _DECAY_BASELINE, DecayHistogram.irf_sigma_ns)
+    y = exp_gauss_decay(t, tau_ns, _DECAY_AMPLITUDE, _DECAY_BASELINE, IRF_SIGMA_NS)
     if fast_amplitude > 0 and fast_tau_ns > 0:
-        y = y + exp_gauss_decay(t, fast_tau_ns, fast_amplitude, 0.0, DecayHistogram.irf_sigma_ns)
+        y = y + exp_gauss_decay(t, fast_tau_ns, fast_amplitude, 0.0, IRF_SIGMA_NS)
     if poisson:
         y = np.random.default_rng(seed).poisson(y).astype(float)
-    return DecayHistogram(t, y)
+    return XYSeries(t, y, x_unit="t_ns", y_unit="counts")
 
 
 def g2_histogram(n_side_peaks: int = 10, poisson: bool = False, seed: int = 0) -> XYSeries:

@@ -132,6 +132,28 @@ def test_fit_lifetime_bad_irf_sigma_exits_2(sigma, tmp_path, capsys):
     assert "irf_sigma_ns must be finite and >= 0" in capsys.readouterr().err
 
 
+def test_fit_lifetime_on_a_backwards_time_axis_exits_2(tmp_path, capsys):
+    # uniform bins running backwards are still no time axis
+    csv = tmp_path / "lt.csv"
+    assert _run(["synth", "lifetime", "--seed", "4", "-o", str(csv)]) == 0
+    header, *rows = csv.read_text().splitlines()
+    csv.write_text("\n".join([header, *reversed(rows)]) + "\n")
+    assert _run(["fit", "lifetime", str(csv), "-o", str(tmp_path / "lt.json")]) == 2
+    assert "x must be strictly increasing" in capsys.readouterr().err
+
+
+def test_fit_g2_negative_count_exits_2(tmp_path, capsys):
+    csv = tmp_path / "g2.csv"
+    assert _run(["synth", "g2", "--seed", "3", "-o", str(csv)]) == 0
+    lines = csv.read_text().splitlines()
+    lines[100] = lines[100].split(",")[0] + ",-1"
+    csv.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "g2.json"
+    assert _run(["fit", "g2", str(csv), "-o", str(out)]) == 2
+    assert "counts must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- dispersion
 
 

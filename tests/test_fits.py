@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cavityforge import fits, synthetic
-from cavityforge.fits import (DecayHistogram, FitError, XYSeries, exp_gauss_decay,
+from cavityforge.fits import (FitError, XYSeries, exp_gauss_decay,
                               fit_gaussian, fit_lifetime, fit_lorentzian,
                               fit_voigt, g2_pulse_areas, gaussian, lorentzian,
                               voigt_profile)
@@ -21,9 +21,9 @@ def test_xyseries_requires_increasing_x():
 
 def test_decay_histogram_requires_uniform_bins():
     with pytest.raises(ValueError):
-        DecayHistogram(np.array([0.0, 1.0, 3.0]), np.zeros(3))
+        fit_lifetime(XYSeries(np.array([0.0, 1.0, 3.0]), np.zeros(3)))
     with pytest.raises(ValueError):
-        DecayHistogram(np.array([0.0, 1.0, 2.0]), np.array([1.0, -1.0, 0.0]))
+        fit_lifetime(XYSeries(np.array([0.0, 1.0, 2.0]), np.array([1.0, -1.0, 0.0])))
 
 
 # ------------------------------------------------------------ profile models
@@ -163,10 +163,9 @@ def test_flat_data_flags_degenerate():
 
 
 def test_lifetime_empty_window_raises():
-    h = DecayHistogram(np.linspace(0.0, 2.0, 21), np.ones(21),
-                       fit_window_start_ns=3.0)
+    h = XYSeries(np.linspace(0.0, 2.0, 21), np.ones(21))
     with pytest.raises(FitError):
-        fit_lifetime(h)
+        fit_lifetime(h, window_start_ns=3.0)
 
 
 @pytest.mark.parametrize("center, fwhm, pinned", [(0.4, 0.3, "amplitude"),
@@ -187,7 +186,7 @@ def test_lifetime_pinned_tau_is_not_converged():
     t = np.arange(0.0, 20.0, 0.05)
     c = np.full_like(t, 5.0)
     c[0] = 1e4
-    out = fit_lifetime(DecayHistogram(t, c, irf_sigma_ns=0.0, fit_window_start_ns=0.0))
+    out = fit_lifetime(XYSeries(t, c), irf_sigma_ns=0.0, window_start_ns=0.0)
     # the floor is 1e-3 of the bin width when there is no IRF
     assert out.params["tau_ns"] == 1e-3 * float(np.mean(np.diff(t)))
     assert "tau far below the time resolution; not identifiable" in out.notes
@@ -199,7 +198,7 @@ def test_lifetime_pinned_tau_is_not_converged():
 def test_decay_histogram_rejects_bad_irf_sigma(sigma):
     t = np.arange(0.0, 20.0, 0.05)
     with pytest.raises(ValueError, match="irf_sigma_ns"):
-        DecayHistogram(t, np.ones_like(t), irf_sigma_ns=sigma)
+        fit_lifetime(XYSeries(t, np.ones_like(t)), irf_sigma_ns=sigma)
 
 
 def test_nonfinite_data_raises():
@@ -277,7 +276,7 @@ def test_lifetime_far_below_the_resolution_is_degenerate():
     # identifiable, well inside the evaluation budget
     t = np.arange(0.0, 20.0, 0.05)
     c = 5.0 + 1e4 * np.exp(-t ** 2 / 0.08)
-    out = fit_lifetime(DecayHistogram(t, c, irf_sigma_ns=0.2, fit_window_start_ns=0.0))
+    out = fit_lifetime(XYSeries(t, c), irf_sigma_ns=0.2, window_start_ns=0.0)
     assert out.params["tau_ns"] == 1e-3 * 0.2
     assert out.iterations < fits.MAX_ITER * (3 + 1)   # the budget of a 3-parameter fit
     assert out.degenerate
