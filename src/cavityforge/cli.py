@@ -201,6 +201,11 @@ def _read_csv(path: str) -> XYSeries:
         raise ConfigError(f"{path}: non-numeric or ragged data row: {exc}") from exc
     if data.shape[1] != 2:
         raise ConfigError(f"{path}: expected two values per data row, got {data.shape[1]}")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ConfigError(f"{path}: data row {i + 1} holds a value that is not finite: "
+                          f"{lines[i + 1].strip()!r}")
     return XYSeries(data[:, 0], data[:, 1], x_unit=header[0], y_unit=header[1])
 
 

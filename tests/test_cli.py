@@ -154,6 +154,27 @@ def test_fit_g2_negative_count_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# the synth kind that writes a dataset of each fit kind
+_SYNTH_OF_FIT = {"voigt": "resonance", "lorentzian": "lorentzian", "gaussian": "lateral",
+                 "lifetime": "lifetime", "g2": "g2"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("kind", sorted(_SYNTH_OF_FIT))
+def test_fit_non_finite_cell_exits_2_naming_its_row(kind, value, tmp_path, capsys):
+    # np.loadtxt parses nan and inf; the reader rejects them before any fit
+    csv = tmp_path / "d.csv"
+    assert _run(["synth", _SYNTH_OF_FIT[kind], "-o", str(csv)]) == 0
+    lines = csv.read_text().splitlines()
+    lines[5] = lines[5].split(",")[0] + "," + value
+    csv.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "f.json"
+    assert _run(["fit", kind, str(csv), "-o", str(out)]) == 2
+    assert ("data row 5 holds a value that is not finite: "
+            f"'{lines[5]}'") in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- dispersion
 
 
