@@ -26,6 +26,20 @@ def _finite(v, where: str) -> float:
     return float(v)
 
 
+def _positive(v, where: str) -> float:
+    v = _finite(v, where)
+    if not v > 0:
+        raise ConfigError(f"{where} must be positive, got {v!r}")
+    return v
+
+
+def _fraction(v, where: str) -> float:
+    v = _finite(v, where)
+    if not 0 < v < 1:
+        raise ConfigError(f"{where} must lie in (0, 1), got {v!r}")
+    return v
+
+
 def _whole(v, where: str) -> int:
     if isinstance(v, bool) or not (isinstance(v, int)
                                    or isinstance(v, float) and v.is_integer()):
@@ -85,8 +99,9 @@ _EMITTER = {"zpl_wavelength_nm": ("zpl_wavelength", _finite),
             "host_index": ("host_index", _finite), "debye_waller": ("debye_waller", _finite),
             "depth_nm": ("depth_below_surface", _finite),
             "dipole_orientation_factor": ("dipole_orientation_factor", _finite)}
-_MEASURED = {k: (k, _finite) for k in ("Gamma_L_pm", "dlambda_dL", "gamma_on_per_s",
-                                       "gamma_off_per_s", "dw_assumed")}
+_MEASURED = {**{k: (k, _positive) for k in ("Gamma_L_pm", "dlambda_dL", "gamma_on_per_s",
+                                            "gamma_off_per_s")},
+             "dw_assumed": ("dw_assumed", _fraction)}
 _SWEEP = {"t_d_nm": ("t_d_nm", _numbers), "L_nm": ("L_nm", _numbers),
           "terminations": ("terminations", _terminations), "R_um": ("R_um", _finite)}
 
@@ -97,7 +112,7 @@ _read_mirror = partial(_build, _MIRROR, MirrorSpec,
                        {"pairs": 15, "center_wavelength_nm": EmitterSpec.zpl_wavelength})
 _CAVITY = {"bottom_mirror": ("bottom", _read_mirror), "top_mirror": ("top", _read_mirror),
            "t_d_nm": ("t_d", _finite), "L_nm": ("L", _finite), "R_um": ("R_um", _finite),
-           "waist_fwhm_um": ("waist_fwhm_um", _finite)}
+           "waist_fwhm_um": ("waist_fwhm_um", _positive)}
 _TOP_KEYS = {"cavity", "emitter", "measured", "sweep"}
 
 
@@ -144,7 +159,10 @@ def parse_config(doc: dict) -> RunConfig:
     cavity = _build(_CAVITY, assemble_cavity,
                     {"bottom_mirror": {}, "top_mirror": {}, "t_d_nm": 0.0, "R_um": 16.0},
                     doc["cavity"], "cavity", n_d=emitter.host_index)
-    if cavity.t_d > 0 and not (0 < emitter.depth_below_surface <= cavity.t_d):
+    # the depth default is the paper's emitter, so only a depth the config sets
+    # must fit the config's membrane
+    if ("depth_nm" in doc["emitter"] and cavity.t_d > 0
+            and not 0 < emitter.depth_below_surface <= cavity.t_d):
         raise ConfigError("emitter: depth_nm must lie within the diamond thickness")
     measured = _build(_MEASURED, dict, {}, doc.get("measured", {}), "measured")
     # the rates algebra takes both rates, and dw_assumed only with them

@@ -624,6 +624,47 @@ def test_config_value_outside_its_domain_exits_2_naming_its_block(path, value, m
         assert f"error: {'.'.join(path[:-1])}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("measured", "Gamma_L_pm"), -1, "must be positive, got -1.0"),
+    (("measured", "dlambda_dL"), 0, "must be positive, got 0.0"),
+    (("measured", "gamma_on_per_s"), -158e6, "must be positive, got -158000000.0"),
+    (("measured", "gamma_off_per_s"), 0, "must be positive, got 0.0"),
+    (("measured", "dw_assumed"), 1.0, "must lie in (0, 1), got 1.0"),
+    (("measured", "dw_assumed"), 0, "must lie in (0, 1), got 0.0"),
+    (("cavity", "waist_fwhm_um"), 0, "must be positive, got 0.0"),
+    (("cavity", "waist_fwhm_um"), -1, "must be positive, got -1.0"),
+], ids=["Gamma_L", "dlambda_dL", "gamma_on", "gamma_off", "dw_one", "dw_zero", "waist_zero",
+        "waist_negative"])
+def test_config_value_outside_its_domain_exits_2_naming_its_key(path, value, message,
+                                                                tmp_path, capsys):
+    # checked at parse time, so every command that reads a config rejects it
+    from cavityforge.config import paper_baseline_dict
+    doc = paper_baseline_dict()
+    doc[path[0]][path[1]] = value
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    for command in (["report"], ["dispersion"], ["design", "--single", "t_d_nm=132", "L_nm=637"]):
+        assert _run([*command, "--config", str(cfg), "-o", str(tmp_path / "out")]) == 2
+        assert f"error: {'.'.join(path)} {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["report"],
+                                     ["dispersion", "--l-min-um", "1.9", "--l-max-um", "1.96"]])
+def test_only_a_configured_depth_must_fit_the_membrane(command, tmp_path, capsys):
+    # the 68 nm depth default does not reject a thinner membrane; a depth
+    # the config sets still must lie within it
+    from cavityforge.config import paper_baseline_dict
+    doc = paper_baseline_dict()
+    doc["cavity"]["t_d_nm"] = 50.0
+    cfg, out = tmp_path / "c.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    assert _run([*command, "--config", str(cfg), "-o", str(out)]) == 0
+    doc["emitter"]["depth_nm"] = 60.0
+    cfg.write_text(json.dumps(doc))
+    assert _run([*command, "--config", str(cfg), "-o", str(out)]) == 2
+    assert "emitter: depth_nm must lie within the diamond thickness" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("pairs", [1019, 1030, 2059])
 def test_thick_top_mirror_up_to_the_pairs_bound_gives_finite_fields(pairs, tmp_path, capsys):
     # behind the top mirror the walk's fields grow as (n_high / n_low)^pairs;
