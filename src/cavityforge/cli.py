@@ -281,7 +281,7 @@ def cmd_design(args) -> int:
                   if v is not None]
     if args.single and grid_flags:
         raise ConfigError(f"--single takes no grid flags, got {' '.join(grid_flags)}")
-    cfg = _load_run_config(args) if (args.config or args.paper_baseline) else None
+    cfg = load_config(args.config) if args.config else None
     emitter = cfg.emitter if cfg else EmitterSpec()
     sweep_cfg = cfg.sweep if cfg else {}
     R_um = args.r_um if args.r_um is not None else sweep_cfg.get(
@@ -388,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--norm-delay-ns", type=float, default=None)
 
     p = sub.add_parser("design", help="evaluate membrane/air-gap design points")
-    _add_config_args(p)
+    p.add_argument("--config", help="JSON run configuration (its emitter and sweep)")
+    _add_output_arg(p)
     p.add_argument("--single", nargs="+", metavar="KEY=VALUE",
                    help="one design point, e.g. --single t_d_nm=132 L_nm=637")
     p.add_argument("--t-d-nm", type=float, nargs="+", default=None)

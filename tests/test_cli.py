@@ -316,6 +316,8 @@ def test_config_and_baseline_are_exclusive(tmp_path):
     ["synth", "lifetime", "--seed", "3", "--noise-frac", "0.02"],
     ["synth", "g2", "--seed", "3", "--noise-frac", "0.9"],
     ["synth", "resonance", "--poisson"],
+    # design reads a config's emitter and sweep, which the baseline leaves out
+    ["design", "--paper-baseline", "--single", "t_d_nm=132", "L_nm=637"],
 ])
 def test_unhonoured_flags_rejected(argv):
     with pytest.raises(SystemExit) as exc:
@@ -388,7 +390,7 @@ def test_design_honours_membrane_index(tmp_path):
     single = ["--single", "t_d_nm=132", "L_nm=640.43"]
     out, base = tmp_path / "d.csv", tmp_path / "base.csv"
     assert _run(["design", "--config", str(cfg), *single, "-o", str(out)]) == 0
-    assert _run(["design", "--paper-baseline", *single, "-o", str(base)]) == 0
+    assert _run(["design", *single, "-o", str(base)]) == 0
     row, = csv.DictReader(out.open())
     L = float(row["L_tuned_nm"])
     assert L != float(next(csv.DictReader(base.open()))["L_tuned_nm"])
