@@ -7,6 +7,7 @@ normalization.  Initial guesses come from moment estimates.
 The bounded fits share one numpy Levenberg-Marquardt core (Marquardt
 1963; More 1978):
 
+- it refuses data with no more points than parameters (FitError);
 - each step solves (J^T J + mu diag J^T J) dx = -J^T f.  With this
   Marquardt scaling mu is dimensionless, so amplitudes of ~1e8 and
   widths of ~0.3 are damped alike.  mu starts at 1e-3 and follows
@@ -133,6 +134,8 @@ def _levenberg_marquardt(fun: Callable, x0: np.ndarray, lo: np.ndarray,
     x = np.clip(x0, lo, hi)
     f = fun(x)
     nfev = 1
+    if f.size <= x.size:
+        raise FitError(f"need more points than the {x.size} fit parameters, got {f.size}")
     if not np.all(np.isfinite(f)):
         raise FitError("residuals are not finite at the initial guess")
     cost = f @ f
@@ -184,8 +187,7 @@ def _solve(residual_fn: Callable, p0: np.ndarray, names: list[str],
     # rejects the non-finite residuals that follow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x, res, J, nfev, converged = _levenberg_marquardt(residual_fn, p0, lo, hi)
-    dof = max(res.size - len(p0), 1)
-    chi2 = float(res @ res) / dof
+    chi2 = float(res @ res) / (res.size - len(p0))
     # 1-sigma from the Jacobian, scaled by the residual variance; columns
     # go to unit norm first, as amplitudes of ~1e8 beside widths of ~0.3
     # would put the amplitude direction below pinv's cutoff
@@ -256,45 +258,40 @@ def gaussian(x, center, fwhm, amplitude, offset):
     return offset + amplitude * np.exp(-((x - center) ** 2) / (2.0 * sigma ** 2))
 
 
-def fit_voigt(data: XYSeries) -> FitResult:
-    """Fit a Voigt peak; Gaussian and Lorentzian FWHMs reported separately."""
-    x, y = data.x, data.y
-    c0, a0, w0, off0 = _peak_moments(x, y)
-    if x.size < 7 or w0 <= 0:
-        raise FitError("need >= 7 points spanning the peak")
-    p0 = np.array([c0, a0, w0 / 2.0, w0 / 2.0, off0])
-    lo = [x[0] - (x[-1] - x[0]), 0.0, 0.0, 0.0, -np.inf]
-    hi = [x[-1] + (x[-1] - x[0]), np.inf, np.inf, np.inf, np.inf]
-
-    def resid(p):
-        return voigt_profile(x, *p) - y
-
-    out = _solve(resid, p0, ["center", "amplitude", "fwhm_g", "fwhm_l", "offset"],
-                 bounds=(lo, hi))
-    if out.params["fwhm_g"] < 1e-3 * out.params["fwhm_l"]:
-        out.notes.append("Gaussian component negligible; effectively Lorentzian")
-    return out
-
-
 def _fit_peak(data: XYSeries, model, names) -> FitResult:
+    """Fit model(x, *params) to data; names are its parameters in order.
+
+    The start comes from _peak_moments, with the Voigt's two widths at half
+    the peak's.  The centre lies within one x span of the data, widths and
+    amplitude are >= 0, and the offset is free."""
     x, y = data.x, data.y
     c0, a0, w0, off0 = _peak_moments(x, y)
-    p0 = np.array([c0, w0, a0, off0])
-    lo = [x[0] - (x[-1] - x[0]), 0.0, 0.0, -np.inf]
-    hi = [x[-1] + (x[-1] - x[0]), np.inf, np.inf, np.inf]
+    start = {"center": c0, "amplitude": a0, "offset": off0,
+             "fwhm": w0, "fwhm_g": w0 / 2.0, "fwhm_l": w0 / 2.0}
+    span = x[-1] - x[0]
+    lo = [x[0] - span if k == "center" else -np.inf if k == "offset" else 0.0 for k in names]
+    hi = [x[-1] + span if k == "center" else np.inf for k in names]
 
     def resid(p):
         return model(x, *p) - y
 
-    out = _solve(resid, p0, names, bounds=(lo, hi))
-    span = np.ptp(y)
-    if span <= 0 or out.params["amplitude"] < 1e-6 * max(abs(out.params["offset"]), 1.0):
-        out.degenerate = True
-        out.notes.append("amplitude consistent with zero; peak not identifiable")
-    elif out.params["fwhm"] <= 0:
-        out.degenerate = True
-        out.notes.append("width pinned at zero; peak not identifiable")
+    out = _solve(resid, np.array([start[k] for k in names]), names, bounds=(lo, hi))
+    p = out.params
+    if np.ptp(y) <= 0 or p["amplitude"] < 1e-6 * max(abs(p["offset"]), 1.0):
+        out.degenerate, note = True, "amplitude consistent with zero; peak not identifiable"
+    elif max(p[k] for k in names if k.startswith("fwhm")) <= 0:
+        out.degenerate, note = True, "width pinned at zero; peak not identifiable"
+    elif "fwhm_g" in p and p["fwhm_g"] < 1e-3 * p["fwhm_l"]:
+        note = "Gaussian component negligible; effectively Lorentzian"
+    else:
+        return out
+    out.notes.append(note)
     return out
+
+
+def fit_voigt(data: XYSeries) -> FitResult:
+    """Fit a Voigt peak; Gaussian and Lorentzian FWHMs reported separately."""
+    return _fit_peak(data, voigt_profile, ["center", "amplitude", "fwhm_g", "fwhm_l", "offset"])
 
 
 def fit_lorentzian(data: XYSeries) -> FitResult:

@@ -154,6 +154,46 @@ def test_fit_g2_negative_count_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fit_voigt_on_flat_data_is_degenerate(tmp_path):
+    csv = tmp_path / "flat.csv"
+    csv.write_text("delta_l_pm,counts\n" + "".join(f"{x},7\n" for x in range(-20, 21)))
+    out = tmp_path / "f.json"
+    assert _run(["fit", "voigt", str(csv), "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["degenerate"] is True
+    assert doc["notes"] == ["amplitude consistent with zero; peak not identifiable"]
+
+
+@pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
+def test_fit_peak_on_three_points_exits_2(kind, tmp_path, capsys):
+    csv = tmp_path / "d.csv"
+    csv.write_text("delta_lambda_nm,rate_per_s\n0,1\n1,3\n2,1\n")
+    out = tmp_path / "f.json"
+    assert _run(["fit", kind, str(csv), "-o", str(out)]) == 2
+    assert "need more points than the 4 fit parameters, got 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_lifetime_window_of_three_bins_exits_2(tmp_path, capsys):
+    # the 0-80 ns histogram of 0.05 ns bins holds 79.9, 79.95 and 80 ns past
+    # the window start: three bins for tau, amplitude and baseline
+    csv = tmp_path / "lt.csv"
+    assert _run(["synth", "lifetime", "--seed", "4", "-o", str(csv)]) == 0
+    assert _run(["fit", "lifetime", str(csv), "--window-start-ns", "79.9",
+                 "-o", str(tmp_path / "lt.json")]) == 2
+    assert "need more points than the 3 fit parameters, got 3" in capsys.readouterr().err
+
+
+def test_fit_voigt_on_six_points_exits_0(tmp_path):
+    csv = tmp_path / "v.csv"
+    assert _run(["synth", "resonance", "-o", str(csv)]) == 0
+    header, *rows = csv.read_text().splitlines()
+    csv.write_text("\n".join([header, *rows[100:141:8]]) + "\n")
+    out = tmp_path / "v.json"
+    assert _run(["fit", "voigt", str(csv), "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["converged"] is True
+
+
 # the synth kind that writes a dataset of each fit kind
 _SYNTH_OF_FIT = {"voigt": "resonance", "lorentzian": "lorentzian", "gaussian": "lateral",
                  "lifetime": "lifetime", "g2": "g2"}

@@ -158,8 +158,29 @@ def test_lifetime_noisy_recovery(seed):
 def test_flat_data_flags_degenerate():
     x = np.linspace(-1, 1, 51)
     y = np.full_like(x, 7.0)
-    out = fit_lorentzian(XYSeries(x, y))
-    assert out.degenerate
+    for fit in (fit_voigt, fit_lorentzian, fit_gaussian):
+        out = fit(XYSeries(x, y))
+        assert out.degenerate, fit.__name__
+        assert out.notes == ["amplitude consistent with zero; peak not identifiable"]
+
+
+@pytest.mark.parametrize("fit, kwargs, params", [
+    (fit_voigt, {}, 5), (fit_lorentzian, {}, 4), (fit_gaussian, {}, 4),
+    (fit_lifetime, {"window_start_ns": 0.0}, 3)],
+    ids=["voigt", "lorentzian", "gaussian", "lifetime"])
+def test_no_more_points_than_parameters_raises(fit, kwargs, params):
+    # n = p fits any data exactly, with a reduced chi2 of 0/0
+    x = np.arange(float(params))
+    with pytest.raises(FitError, match=f"more points than the {params} fit parameters"):
+        fit(XYSeries(x, 1.0 + np.exp(-x)), **kwargs)
+
+
+def test_voigt_fits_one_point_more_than_its_parameters():
+    s = synthetic.voigt_resonance()
+    i = np.linspace(100, 140, 6).astype(int)
+    out = fit_voigt(XYSeries(s.x[i], s.y[i]))
+    assert out.converged and not out.degenerate
+    assert np.isfinite(out.reduced_chi2)
 
 
 def test_lifetime_empty_window_raises():
