@@ -334,6 +334,8 @@ def fit_lifetime(h: XYSeries, irf_sigma_ns: float = IRF_SIGMA_NS,
     _check_counts(h.y)
     if not (np.isfinite(irf_sigma_ns) and irf_sigma_ns >= 0):
         raise ValueError(f"irf_sigma_ns must be finite and >= 0, got {irf_sigma_ns}")
+    if not np.isfinite(window_start_ns):
+        raise ValueError(f"window_start_ns must be finite, got {window_start_ns}")
     mask = h.x >= window_start_ns
     if not mask.any():
         raise FitError("fit window excludes all bins")

@@ -132,6 +132,16 @@ def test_fit_lifetime_bad_irf_sigma_exits_2(sigma, tmp_path, capsys):
     assert "irf_sigma_ns must be finite and >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("start", ["nan", "inf", "-inf"])
+def test_fit_lifetime_window_start_not_finite_exits_2(start, tmp_path, capsys):
+    csv = tmp_path / "lt.csv"
+    assert _run(["synth", "lifetime", "--seed", "4", "-o", str(csv)]) == 0
+    # the = form, as argparse reads a bare -inf as a flag
+    assert _run(["fit", "lifetime", str(csv), f"--window-start-ns={start}",
+                 "-o", str(tmp_path / "lt.json")]) == 2
+    assert "window_start_ns must be finite" in capsys.readouterr().err
+
+
 def test_fit_lifetime_on_a_backwards_time_axis_exits_2(tmp_path, capsys):
     # uniform bins running backwards are still no time axis
     csv = tmp_path / "lt.csv"

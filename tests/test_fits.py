@@ -222,6 +222,13 @@ def test_decay_histogram_rejects_bad_irf_sigma(sigma):
         fit_lifetime(XYSeries(t, np.ones_like(t)), irf_sigma_ns=sigma)
 
 
+@pytest.mark.parametrize("start", [np.nan, np.inf, -np.inf])
+def test_lifetime_rejects_a_window_start_that_is_not_finite(start):
+    t = np.arange(0.0, 20.0, 0.05)
+    with pytest.raises(ValueError, match="window_start_ns must be finite"):
+        fit_lifetime(XYSeries(t, np.ones_like(t)), window_start_ns=start)
+
+
 def test_nonfinite_data_raises():
     x = np.linspace(-1, 1, 51)
     y = np.ones_like(x)
