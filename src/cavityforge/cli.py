@@ -281,7 +281,7 @@ def cmd_design(args) -> int:
                   if v is not None]
     if args.single and grid_flags:
         raise ConfigError(f"--single takes no grid flags, got {' '.join(grid_flags)}")
-    cfg = load_config(args.config) if args.config else None
+    cfg = load_config(args.config, needs_cavity=False) if args.config else None
     emitter = cfg.emitter if cfg else EmitterSpec()
     sweep_cfg = cfg.sweep if cfg else {}
     R_um = args.r_um if args.r_um is not None else sweep_cfg.get(

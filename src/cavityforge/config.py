@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import Optional
 
 from .stack import TERMINATIONS, CavityAssembly, EmitterSpec, MirrorSpec, assemble_cavity
 
@@ -118,7 +119,7 @@ _TOP_KEYS = {"cavity", "emitter", "measured", "sweep"}
 
 @dataclass
 class RunConfig:
-    cavity: CavityAssembly
+    cavity: Optional[CavityAssembly]
     emitter: EmitterSpec
     measured: dict
     sweep: dict
@@ -146,24 +147,28 @@ def paper_baseline_dict() -> dict:
     }
 
 
-def parse_config(doc: dict) -> RunConfig:
+def parse_config(doc: dict, needs_cavity: bool = True) -> RunConfig:
     """The checked run configuration.  The membrane has the emitter's
-    host_index, the one diamond index of a run."""
+    host_index, the one diamond index of a run.  A command that reads no
+    cavity passes needs_cavity=False and gets cavity None when the block is
+    left out; a cavity block that is present is checked all the same."""
     _check_keys(doc, _TOP_KEYS, "config")
-    for block in ("cavity", "emitter"):
+    for block in ("cavity", "emitter") if needs_cavity else ("emitter",):
         if block not in doc:
             raise ConfigError(f"config: missing required {block!r} block")
     emitter = _build(_EMITTER, EmitterSpec, {}, doc["emitter"], "emitter")
-    if isinstance(doc["cavity"], dict) and "L_nm" not in doc["cavity"]:
-        raise ConfigError("cavity: missing required key 'L_nm'")
-    cavity = _build(_CAVITY, assemble_cavity,
-                    {"bottom_mirror": {}, "top_mirror": {}, "t_d_nm": 0.0, "R_um": 16.0},
-                    doc["cavity"], "cavity", n_d=emitter.host_index)
-    # the depth default is the paper's emitter, so only a depth the config sets
-    # must fit the config's membrane
-    if ("depth_nm" in doc["emitter"] and cavity.t_d > 0
-            and not 0 < emitter.depth_below_surface <= cavity.t_d):
-        raise ConfigError("emitter: depth_nm must lie within the diamond thickness")
+    cavity = None
+    if "cavity" in doc:
+        if isinstance(doc["cavity"], dict) and "L_nm" not in doc["cavity"]:
+            raise ConfigError("cavity: missing required key 'L_nm'")
+        cavity = _build(_CAVITY, assemble_cavity,
+                        {"bottom_mirror": {}, "top_mirror": {}, "t_d_nm": 0.0, "R_um": 16.0},
+                        doc["cavity"], "cavity", n_d=emitter.host_index)
+        # the depth default is the paper's emitter, so only a depth the config
+        # sets must fit the config's membrane
+        if ("depth_nm" in doc["emitter"] and cavity.t_d > 0
+                and not 0 < emitter.depth_below_surface <= cavity.t_d):
+            raise ConfigError("emitter: depth_nm must lie within the diamond thickness")
     measured = _build(_MEASURED, dict, {}, doc.get("measured", {}), "measured")
     # the rates algebra takes both rates, and dw_assumed only with them
     missing = [k for k in ("gamma_on_per_s", "gamma_off_per_s") if k not in measured]
@@ -173,10 +178,10 @@ def parse_config(doc: dict) -> RunConfig:
                      _build(_SWEEP, dict, {}, doc.get("sweep", {}), "sweep"))
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, needs_cavity: bool = True) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(doc)
+    return parse_config(doc, needs_cavity)

@@ -512,6 +512,26 @@ def test_design_single_row(tmp_path):
     assert lines[1].split(",")[2] == "antinode"  # inferred from the membrane
 
 
+def test_design_config_needs_no_cavity_block(tmp_path):
+    # design reads only a config's emitter and sweep blocks
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"emitter": {}, "sweep": {"t_d_nm": [132], "L_nm": [637],
+                                                        "terminations": ["antinode"]}}))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert _run(["design", "--config", str(cfg), "-o", str(a)]) == 0
+    assert _run(["design", "--single", "t_d_nm=132", "L_nm=637", "-o", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["report", "dispersion"])
+def test_config_without_cavity_block_exits_2_for_the_commands_that_read_it(command, tmp_path,
+                                                                            capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"emitter": {}}))
+    assert _run([command, "--config", str(cfg), "-o", str(tmp_path / "x")]) == 2
+    assert "config: missing required 'cavity' block" in capsys.readouterr().err
+
+
 def test_design_single_bad_key_exits_2(tmp_path):
     assert _run(["design", "--single", "thickness=132", "L_nm=637",
                  "-o", str(tmp_path / "d.csv")]) == 2

@@ -48,6 +48,17 @@ def test_missing_emitter_rejected():
         parse_config(doc)
 
 
+def test_cavity_block_is_optional_only_where_asked():
+    doc = {"emitter": {}}
+    with pytest.raises(ConfigError, match="config: missing required 'cavity' block"):
+        parse_config(doc)
+    assert parse_config(doc, needs_cavity=False).cavity is None
+    # a cavity block that is present is checked either way
+    bad = {"emitter": {}, "cavity": {"t_d_nm": 770.0}}
+    with pytest.raises(ConfigError, match="missing required key 'L_nm'"):
+        parse_config(bad, needs_cavity=False)
+
+
 def test_missing_air_gap_rejected():
     doc = paper_baseline_dict()
     del doc["cavity"]["L_nm"]
