@@ -50,7 +50,7 @@ EXIT_NOCONV = 4
 
 _UNIT_SUFFIXES = ("_pm", "_nm", "_um", "_mm", "_ns", "_us", "_ms", "_s",
                   "_per_s", "_hz", "_mhz", "_ghz")
-_UNITLESS_COLUMNS = {"counts", "coincidences"}
+_UNITLESS_COLUMNS = frozenset({"counts", "coincidences"})
 
 
 def _fmt(v) -> str:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
+from types import MappingProxyType
 from typing import Optional
 
 from .stack import TERMINATIONS, CavityAssembly, EmitterSpec, MirrorSpec, assemble_cavity
@@ -74,7 +76,7 @@ def _check_keys(d, allowed, where: str):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _build(table: dict, make, defaults: dict, block, where: str, **fixed):
+def _build(table: Mapping, make, defaults: Mapping, block, where: str, **fixed):
     """make(**fixed, **keywords) from a config block: each key of the block,
     and each of the defaults it leaves out, fills the keyword its table entry
     names after passing the entry's check.  A keyword no key fills takes
@@ -90,31 +92,35 @@ def _build(table: dict, make, defaults: dict, block, where: str, **fixed):
 
 
 # config key -> (keyword it fills, check its value passes), one table per block
-_MIRROR = {"pairs": ("pairs", _whole), "center_wavelength_nm": ("center_wavelength", _finite),
-           "n_high": ("n_high", _finite), "n_low": ("n_low", _finite),
-           "terminal_high_index": ("terminal_high_index", _flag),
-           "substrate_index": ("substrate_index", _finite),
-           "lumped_loss": ("lumped_loss", _finite)}
-_EMITTER = {"zpl_wavelength_nm": ("zpl_wavelength", _finite),
-            "bulk_lifetime_ns": ("bulk_lifetime_ns", _finite),
-            "host_index": ("host_index", _finite), "debye_waller": ("debye_waller", _finite),
-            "depth_nm": ("depth_below_surface", _finite),
-            "dipole_orientation_factor": ("dipole_orientation_factor", _finite)}
-_MEASURED = {**{k: (k, _positive) for k in ("Gamma_L_pm", "dlambda_dL", "gamma_on_per_s",
-                                            "gamma_off_per_s")},
-             "dw_assumed": ("dw_assumed", _fraction)}
-_SWEEP = {"t_d_nm": ("t_d_nm", _numbers), "L_nm": ("L_nm", _numbers),
-          "terminations": ("terminations", _terminations), "R_um": ("R_um", _finite)}
+_MIRROR = MappingProxyType({
+    "pairs": ("pairs", _whole), "center_wavelength_nm": ("center_wavelength", _finite),
+    "n_high": ("n_high", _finite), "n_low": ("n_low", _finite),
+    "terminal_high_index": ("terminal_high_index", _flag),
+    "substrate_index": ("substrate_index", _finite), "lumped_loss": ("lumped_loss", _finite)})
+_EMITTER = MappingProxyType({
+    "zpl_wavelength_nm": ("zpl_wavelength", _finite),
+    "bulk_lifetime_ns": ("bulk_lifetime_ns", _finite),
+    "host_index": ("host_index", _finite), "debye_waller": ("debye_waller", _finite),
+    "depth_nm": ("depth_below_surface", _finite),
+    "dipole_orientation_factor": ("dipole_orientation_factor", _finite)})
+_MEASURED = MappingProxyType({
+    **{k: (k, _positive) for k in ("Gamma_L_pm", "dlambda_dL", "gamma_on_per_s",
+                                   "gamma_off_per_s")},
+    "dw_assumed": ("dw_assumed", _fraction)})
+_SWEEP = MappingProxyType({
+    "t_d_nm": ("t_d_nm", _numbers), "L_nm": ("L_nm", _numbers),
+    "terminations": ("terminations", _terminations), "R_um": ("R_um", _finite)})
 
 
 # the check of a cavity block's mirror key builds its MirrorSpec, which has
 # no default of its own for pairs and center_wavelength
-_read_mirror = partial(_build, _MIRROR, MirrorSpec,
-                       {"pairs": 15, "center_wavelength_nm": EmitterSpec.zpl_wavelength})
-_CAVITY = {"bottom_mirror": ("bottom", _read_mirror), "top_mirror": ("top", _read_mirror),
-           "t_d_nm": ("t_d", _finite), "L_nm": ("L", _finite), "R_um": ("R_um", _finite),
-           "waist_fwhm_um": ("waist_fwhm_um", _positive)}
-_TOP_KEYS = {"cavity", "emitter", "measured", "sweep"}
+_read_mirror = partial(_build, _MIRROR, MirrorSpec, MappingProxyType(
+    {"pairs": 15, "center_wavelength_nm": EmitterSpec.zpl_wavelength}))
+_CAVITY = MappingProxyType({
+    "bottom_mirror": ("bottom", _read_mirror), "top_mirror": ("top", _read_mirror),
+    "t_d_nm": ("t_d", _finite), "L_nm": ("L", _finite), "R_um": ("R_um", _finite),
+    "waist_fwhm_um": ("waist_fwhm_um", _positive)})
+_TOP_KEYS = frozenset({"cavity", "emitter", "measured", "sweep"})
 
 
 @dataclass

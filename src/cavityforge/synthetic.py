@@ -13,13 +13,15 @@ from .config import paper_baseline_dict
 from .fits import IRF_SIGMA_NS, XYSeries, exp_gauss_decay, gaussian, lorentzian, voigt_profile
 from .stack import EmitterSpec
 
-_PAPER = paper_baseline_dict()["measured"]
-# cavity-length-tuned resonance: Lorentzian and Gaussian FWHM (pm), counts
-_VOIGT_FWHM_L_PM, _VOIGT_FWHM_G_PM = _PAPER["Gamma_L_pm"], 30.0
-_VOIGT_AMPLITUDE, _VOIGT_OFFSET, _VOIGT_POINTS = 1000.0, 20.0, 241
-# decay rate (per s) against spectral (nm) and lateral (um) detuning
+# the published fits: the resonance's Lorentzian FWHM (pm) and the decay
+# rates (per s) on and off resonance
+_VOIGT_FWHM_L_PM, _RATE_PEAK, _RATE_BASE = (
+    paper_baseline_dict()["measured"][k] for k in ("Gamma_L_pm", "gamma_on_per_s",
+                                                   "gamma_off_per_s"))
+# cavity-length-tuned resonance: Gaussian FWHM (pm), counts
+_VOIGT_FWHM_G_PM, _VOIGT_AMPLITUDE, _VOIGT_OFFSET, _VOIGT_POINTS = 30.0, 1000.0, 20.0, 241
+# decay rate against spectral (nm) and lateral (um) detuning
 _RATE_FWHM_NM, _RATE_FWHM_UM, _RATE_POINTS = 0.32, 0.80, 121
-_RATE_PEAK, _RATE_BASE = _PAPER["gamma_on_per_s"], _PAPER["gamma_off_per_s"]
 # pulsed-excitation decay histogram, blurred by the IRF the fit assumes
 _DECAY_AMPLITUDE, _DECAY_BASELINE, _DECAY_T_MAX_NS, _DECAY_BIN_NS = 1e4, 5.0, 80.0, 0.05
 # pulsed HBT coincidence histogram
