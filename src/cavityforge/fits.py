@@ -45,28 +45,23 @@ IRF_SIGMA_NS = 0.2
 FIT_WINDOW_START_NS = 3.0
 _FD_STEP = np.sqrt(np.finfo(float).eps)
 
+# Weideman's N = 40 series: 40 real coefficients, the cosine sum of
+# f(t_k) = exp(-t_k^2) (L^2 + t_k^2), t_k = L tan(pi k / 4N), over |k| < 2N,
+# divided by 4N.  f is even in k, so k > 0 counts twice, and n k is reduced
+# mod 4N, one period of the cosine, before it is scaled to an angle.  Built
+# with math: numpy's tan, cos and exp loops would page about 1 MB of code
+# into every command at import.  Every call shares the array, so it is
+# read-only, and the list of f goes once it is built.
 _W_N = 40
 _W_L = math.sqrt(_W_N / math.sqrt(2.0))
-
-
-def _weideman_coefficients() -> np.ndarray:
-    """Weideman's N = 40 series, read-only: 40 real coefficients, the cosine
-    sum of f(t_k) = exp(-t_k^2) (L^2 + t_k^2), t_k = L tan(pi k / 4N), over
-    |k| < 2N, divided by 4N.  f is even in k, so k > 0 counts twice, and n k
-    is reduced mod 4N, one period of the cosine, before it is scaled to an
-    angle.  Built with math: numpy's tan, cos and exp loops would page about
-    1 MB of code into every command at import."""
-    f = [math.exp(-t * t) * (_W_L ** 2 + t * t)
-         for t in (_W_L * math.tan(math.pi * k / (4 * _W_N)) for k in range(2 * _W_N))]
-    coef = np.array([
-        math.fsum([f[0]] + [2.0 * fk * math.cos(math.pi * (n * k % (4 * _W_N)) / (2 * _W_N))
-                            for k, fk in enumerate(f) if k])
-        for n in range(1, _W_N + 1)]) / (4 * _W_N)
-    coef.flags.writeable = False
-    return coef
-
-
-_W_COEF = _weideman_coefficients()
+_W_F = [math.exp(-t * t) * (_W_L ** 2 + t * t)
+        for t in (_W_L * math.tan(math.pi * k / (4 * _W_N)) for k in range(2 * _W_N))]
+_W_COEF = np.array([
+    math.fsum([_W_F[0]] + [2.0 * f * math.cos(math.pi * (n * k % (4 * _W_N)) / (2 * _W_N))
+                           for k, f in enumerate(_W_F) if k])
+    for n in range(1, _W_N + 1)]) / (4 * _W_N)
+_W_COEF.flags.writeable = False
+del _W_F
 
 
 class FitError(RuntimeError):
