@@ -20,6 +20,7 @@ diamond_energy_fraction and the vacuum field all come from those energies.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -414,42 +415,23 @@ def dispersion_map(assembly: CavityAssembly, L_values: np.ndarray,
         raise ValueError("L grid must be strictly increasing")
 
     index, lams, order, _ = _phase_roots(assembly, lam_window, L_values)
-    # rank of each root in lambda among its order's roots at its L (the
-    # roots come in order of L, then of lambda, and lexsort is stable)
-    at = np.lexsort((order, index))
-    rows = np.arange(at.size)
-    rank = np.empty(at.size, int)
-    rank[at] = rows - np.maximum.accumulate(
-        np.where(_run_starts(index[at], order[at]), rows, 0))
-
-    # a branch: one (order, rank), its roots in order of L
-    at = np.lexsort((index, rank, order))
-    group = np.cumsum(_run_starts(order[at], rank[at])) - 1
-    keep = at[np.bincount(group)[group] >= 2]
+    # the roots come in order of L, then of lambda, so a root's rank is the
+    # count of its order's roots met so far at its L, itself included
+    rank, branches = Counter(), {}
+    for row, key in enumerate(zip(index.tolist(), order.tolist())):
+        rank[key] += 1
+        branches.setdefault((key[1], rank[key]), []).append(row)
+    kept = sorted((rows for rows in branches.values() if len(rows) >= 2),
+                  key=lambda rows: (index[rows[0]], lams[rows[0]]))
+    slope = np.array([s for rows in kept
+                      for s in np.gradient(lams[rows], L_values[index[rows]])])
+    branch_id = np.array([b for b, rows in enumerate(kept) for _ in rows], dtype=int)
+    keep = np.array([row for rows in kept for row in rows], dtype=int)
     L, lams, order = L_values[index[keep]], lams[keep], order[keep]
-    first = np.flatnonzero(_run_starts(order, rank[keep]))
-    bounds = np.r_[first, L.size]
-    slope = np.empty(L.size)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        slope[a:b] = np.gradient(lams[a:b], L[a:b])
     _check_resonant(assembly, L, lams)
     fraction = _diamond_fraction([ly.name for ly in assembly.layers()],
                                  _layer_energies(assembly, L, lams))
-
-    # number the branches by their first (L, lambda)
-    branch_id = np.empty(first.size, int)
-    branch_id[np.lexsort((lams[first], L[first]))] = np.arange(first.size)
-    branch_id = np.repeat(branch_id, np.diff(bounds))
     at = np.lexsort((branch_id, L))
     return {"L_nm": L[at], "lambda_nm": lams[at], "dlambda_dL": slope[at],
             "order": order[at].astype(int), "branch_id": branch_id[at],
             "diamond_fraction": fraction[at]}
-
-
-def _run_starts(*keys: np.ndarray) -> np.ndarray:
-    """True where a run of equal keys begins, in rows sorted by those keys."""
-    new = np.zeros(keys[0].size, bool)
-    new[:1] = True
-    for k in keys:
-        new[1:] |= k[1:] != k[:-1]
-    return new

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from cavityforge import cli
@@ -278,6 +279,22 @@ def test_dispersion_empty_window_exits_3(tmp_path):
                "--lambda-min-nm", "650", "--lambda-max-nm", "652",
                "-o", str(tmp_path / "x.csv")])
     assert rc == 3
+
+
+def test_dispersion_single_root_branch_is_dropped_and_exits_3(tmp_path):
+    # the window holds one root, 634.06 nm at L = 1920 nm; a branch of one
+    # root is dropped, so the map is empty
+    from cavityforge.config import paper_baseline_dict, parse_config
+    from cavityforge.tmm import _phase_roots, dispersion_map
+    cavity = parse_config(paper_baseline_dict()).cavity
+    L, window = np.array([1900.0, 1920.0]), (633.0, 635.0)
+    index, lams, _, _ = _phase_roots(cavity, window, L)
+    assert index.tolist() == [1] and lams == pytest.approx([634.06], abs=0.01)
+    cols = dispersion_map(cavity, L, window)
+    assert len(cols) == 6 and {v.shape for v in cols.values()} == {(0,)}
+    assert _run(["dispersion", "--paper-baseline", "--l-min-um", "1.9",
+                 "--l-max-um", "1.92", "--lambda-min-nm", "633", "--lambda-max-nm", "635",
+                 "-o", str(tmp_path / "x.csv")]) == 3
 
 
 @pytest.mark.parametrize("flags", [
