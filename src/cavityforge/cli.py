@@ -224,12 +224,12 @@ def cmd_fit(args) -> int:
         }
     elif args.kind == "lifetime":
         fit = fit_lifetime(data, args.irf_sigma_ns, args.window_start_ns)
-        doc = {**fit.as_dict(), "irf_sigma_ns": args.irf_sigma_ns,
+        doc = {**dataclasses.asdict(fit), "irf_sigma_ns": args.irf_sigma_ns,
                "fit_window_start_ns": args.window_start_ns}
     else:
         fit = {"voigt": fit_voigt, "lorentzian": fit_lorentzian,
                "gaussian": fit_gaussian}[args.kind]
-        doc = fit(data).as_dict()
+        doc = dataclasses.asdict(fit(data))
     doc["kind"] = args.kind
     doc["x_unit"], doc["y_unit"] = data.x_unit, data.y_unit
     _write_json(doc, args.output)
@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     k = fit_kinds["g2"]
     k.add_argument("--period-ns", type=float, default=100.0)
     k.add_argument("--window-ns", type=float, default=20.0)
-    k.add_argument("--norm-delay-ns", type=float, default=None)
+    k.add_argument("--norm-delay-ns", type=float, default=0.0)
 
     p = sub.add_parser("design", help="evaluate membrane/air-gap design points")
     p.add_argument("--config", help="JSON run configuration (its emitter and sweep)")

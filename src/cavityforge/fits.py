@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -101,17 +101,6 @@ class FitResult:
     iterations: int
     degenerate: bool = False
     notes: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "params": {k: float(v) for k, v in self.params.items()},
-            "uncertainties": {k: float(v) for k, v in self.uncertainties.items()},
-            "reduced_chi2": float(self.reduced_chi2),
-            "converged": bool(self.converged),
-            "iterations": int(self.iterations),
-            "degenerate": bool(self.degenerate),
-            "notes": list(self.notes),
-        }
 
 
 def _jacobian(fun: Callable, x: np.ndarray, f: np.ndarray,
@@ -327,13 +316,16 @@ def exp_gauss_decay(t, tau, amplitude, baseline, sigma):
 def fit_lifetime(h: XYSeries, irf_sigma_ns: float = IRF_SIGMA_NS,
                  window_start_ns: float = FIT_WINDOW_START_NS) -> FitResult:
     """Poisson-weighted exGaussian fit of the bins h.x >= window_start_ns of
-    a histogram of uniform bins.
+    a histogram of at least two uniform bins.
 
     tau is bounded below by 1e-3 max(bin width, IRF sigma); a fit that ends
     there is degenerate and not converged."""
     widths = np.diff(h.x)
-    if widths.size and not np.allclose(widths, widths[0], rtol=1e-6):
+    if not widths.size:
+        raise ValueError("need at least two bins to read the bin width")
+    if not np.allclose(widths, widths[0], rtol=1e-6):
         raise ValueError("bin width must be uniform")
+    bin_ns = float(np.mean(widths))
     _check_counts(h.y)
     if not (np.isfinite(irf_sigma_ns) and irf_sigma_ns >= 0):
         raise ValueError(f"irf_sigma_ns must be finite and >= 0, got {irf_sigma_ns}")
@@ -354,7 +346,6 @@ def fit_lifetime(h: XYSeries, irf_sigma_ns: float = IRF_SIGMA_NS,
     # crude tau from the 1/e point of the decaying part
     above = c - base0 > amp0 / np.e
     tau0 = float(t[above][-1] - t[0]) if above.any() else float(t[-1] - t[0]) / 3.0
-    bin_ns = float(np.mean(np.diff(t)))
     tau0 = max(tau0, bin_ns)
     # tau's lower bound, the resolution floor: a decay far faster than both
     # a bin and the IRF is not identifiable
@@ -375,13 +366,15 @@ def fit_lifetime(h: XYSeries, irf_sigma_ns: float = IRF_SIGMA_NS,
 
 
 def g2_pulse_areas(histogram: XYSeries, pulse_period_ns: float, window_ns: float,
-                   normalization_delay_ns: Optional[float] = None) -> dict:
+                   normalization_delay_ns: float = 0.0) -> dict:
     """Pulsed-autocorrelation peak areas and g2(0).
 
     Counts are integrated in a window centered on each expected peak
-    position (integer multiples of the pulse period); g2(0) is the
-    zero-delay area over the mean area at |delay| >= normalization_delay
-    (default: all nonzero delays).
+    position (integer multiples of the pulse period) whose window the
+    histogram covers; it must cover the zero-delay peak and at least 3
+    peaks on each side of it.  g2(0) is the zero-delay area over the mean
+    area of the nonzero delays at |delay| >= normalization_delay_ns (by
+    default all of them), which must hold coincidences.
     """
     if not (pulse_period_ns > window_ns > 0):
         raise ValueError("need pulse_period > window > 0")
@@ -389,20 +382,18 @@ def g2_pulse_areas(histogram: XYSeries, pulse_period_ns: float, window_ns: float
     _check_counts(y)
     span_lo = int(np.ceil((t[0] + window_ns / 2) / pulse_period_ns))
     span_hi = int(np.floor((t[-1] - window_ns / 2) / pulse_period_ns))
-    if span_hi - span_lo < 6:
+    if span_lo > -3 or span_hi < 3:
         raise ValueError("histogram must span at least 3 pulse periods on each side")
     areas = {}
     for k in range(span_lo, span_hi + 1):
         center = k * pulse_period_ns
         m = np.abs(t - center) <= window_ns / 2.0
         areas[k] = float(np.sum(y[m]))
-    if normalization_delay_ns is None:
-        norm_keys = [k for k in areas if k != 0]
-    else:
-        norm_keys = [k for k in areas
-                     if abs(k * pulse_period_ns) >= normalization_delay_ns and k != 0]
+    norm_keys = [k for k in areas
+                 if k != 0 and abs(k * pulse_period_ns) >= normalization_delay_ns]
     if not norm_keys:
         raise ValueError("empty normalization set")
     norm = float(np.mean([areas[k] for k in norm_keys]))
-    g2_zero = areas.get(0, 0.0) / norm if norm > 0 else np.nan
-    return {"areas": areas, "g2_zero": float(g2_zero), "normalization_area": norm}
+    if norm == 0:
+        raise ValueError("no coincidences in the normalization peaks")
+    return {"areas": areas, "g2_zero": areas[0] / norm, "normalization_area": norm}

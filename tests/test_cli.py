@@ -165,6 +165,40 @@ def test_fit_g2_negative_count_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def _write_g2(path, t, counts):
+    path.write_text("delay_ns,coincidences\n" + "".join(f"{x:.9g},{counts}\n" for x in t))
+
+
+@pytest.mark.parametrize("lo_ns", [200.0, -150.0])
+def test_fit_g2_without_three_peaks_on_each_side_exits_2(lo_ns, tmp_path, capsys):
+    # 200-1100 ns covers peaks 3-10 and no zero-delay peak; -150-1100 ns
+    # covers one peak below zero delay
+    csv = tmp_path / "g2.csv"
+    _write_g2(csv, np.arange(lo_ns, 1100.0 + 0.1, 0.2), 1)
+    out = tmp_path / "g2.json"
+    assert _run(["fit", "g2", str(csv), "-o", str(out)]) == 2
+    assert "at least 3 pulse periods on each side" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_g2_without_coincidences_exits_2(tmp_path, capsys):
+    csv = tmp_path / "g2.csv"
+    _write_g2(csv, np.arange(-1050.0, 1050.0 + 0.1, 0.2), 0)
+    out = tmp_path / "g2.json"
+    assert _run(["fit", "g2", str(csv), "-o", str(out)]) == 2
+    assert "no coincidences in the normalization peaks" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_lifetime_window_of_one_bin_writes_only_its_error(tmp_path, capsys):
+    csv = tmp_path / "lt.csv"
+    assert _run(["synth", "lifetime", "--seed", "4", "-o", str(csv)]) == 0
+    capsys.readouterr()
+    assert _run(["fit", "lifetime", str(csv), "--window-start-ns", "80",
+                 "-o", str(tmp_path / "lt.json")]) == 2
+    assert capsys.readouterr().err == "error: need more points than the 3 fit parameters, got 1\n"
+
+
 def test_fit_voigt_on_flat_data_is_degenerate(tmp_path):
     csv = tmp_path / "flat.csv"
     csv.write_text("delta_l_pm,counts\n" + "".join(f"{x},7\n" for x in range(-20, 21)))
@@ -924,25 +958,3 @@ def test_command_runs_on_numpy_core(shape, tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
-
-
-# ------------------------------------------------------------------- scripts
-
-
-@pytest.mark.parametrize("script, wrote", [
-    ("design_sweep.py", "wrote designs.csv and designs_pareto.json"),
-    ("dispersion_map.py", "wrote dispersion.csv ("),
-    ("make_synthetic_data.py", "wrote "),
-])
-def test_script_runs(script, wrote, tmp_path):
-    # a copy under tmp_path/scripts writes its data/ under tmp_path too
-    (tmp_path / "scripts").mkdir()
-    copy = tmp_path / "scripts" / script
-    copy.write_bytes((REPO / "scripts" / script).read_bytes())
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
-                                                      env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, str(copy)], cwd=tmp_path, env=env,
-                         capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1].startswith(wrote)

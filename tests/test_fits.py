@@ -222,6 +222,12 @@ def test_decay_histogram_rejects_bad_irf_sigma(sigma):
         fit_lifetime(XYSeries(t, np.ones_like(t)), irf_sigma_ns=sigma)
 
 
+def test_lifetime_of_one_bin_raises():
+    # one bin has no width to bound tau by
+    with pytest.raises(ValueError, match="at least two bins"):
+        fit_lifetime(XYSeries([5.0], [100.0]))
+
+
 @pytest.mark.parametrize("start", [np.nan, np.inf, -np.inf])
 def test_lifetime_rejects_a_window_start_that_is_not_finite(start):
     t = np.arange(0.0, 20.0, 0.05)

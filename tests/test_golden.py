@@ -35,7 +35,7 @@ CASES = {
     "fit_voigt_zpl2_resonance.json": ["fit", "voigt", str(REPO / "data" / "zpl2_resonance.csv")],
     "fit_gaussian_zpl6_lateral.json": ["fit", "gaussian",
                                        str(REPO / "data" / "zpl6_lateral.csv")],
-    # the bundled datasets, as scripts/make_synthetic_data.py writes them
+    # the bundled datasets, as synth writes them
     "zpl2_resonance.csv": ["synth", "resonance", "--seed", "1", "--noise-frac", "0.02"],
     "zpl6_lateral.csv": ["synth", "lateral", "--seed", "2", "--noise-frac", "0.02"],
 }
