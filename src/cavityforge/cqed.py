@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import CONSTANTS
+from .constants import C, E_CHARGE, EPS0, HBAR
 
 
 class DomainError(ValueError):
@@ -41,9 +41,8 @@ def dipole_from_lifetime(gamma_bulk: float, lam_nm: float, n_host: float) -> flo
     """
     if gamma_bulk <= 0 or lam_nm <= 0 or n_host <= 0:
         raise DomainError("inputs must be positive")
-    w = 2.0 * np.pi * CONSTANTS.c / (lam_nm * 1e-9)
-    d2 = 3.0 * np.pi * CONSTANTS.eps0 * CONSTANTS.hbar * CONSTANTS.c ** 3 \
-        * gamma_bulk / (n_host * w ** 3)
+    w = 2.0 * np.pi * C / (lam_nm * 1e-9)
+    d2 = 3.0 * np.pi * EPS0 * HBAR * C ** 3 * gamma_bulk / (n_host * w ** 3)
     return float(np.sqrt(d2))
 
 
@@ -51,7 +50,7 @@ def coupling_rate(dipole_Cm: float, E_vac: float, xi: float = 1.0) -> float:
     """Emitter-vacuum-field coupling g = xi d E_vac / hbar, in rad/s."""
     if dipole_Cm < 0 or E_vac < 0 or not (0 < xi <= 1):
         raise DomainError("bad inputs")
-    return xi * dipole_Cm * E_vac / CONSTANTS.hbar
+    return xi * dipole_Cm * E_vac / HBAR
 
 
 def linewidth_conversions(Gamma_L_pm: float, dlambda_dL: float, lam_nm: float) -> dict:
@@ -66,7 +65,7 @@ def linewidth_conversions(Gamma_L_pm: float, dlambda_dL: float, lam_nm: float) -
     Gamma_lambda_pm = Gamma_L_pm * dlambda_dL
     Q = lam_nm * 1e3 / Gamma_lambda_pm
     finesse = lam_nm * 1e3 / (2.0 * Gamma_L_pm)
-    Gamma_f_hz = CONSTANTS.c * (Gamma_lambda_pm * 1e-12) / (lam_nm * 1e-9) ** 2
+    Gamma_f_hz = C * (Gamma_lambda_pm * 1e-12) / (lam_nm * 1e-9) ** 2
     kappa = 2.0 * np.pi * Gamma_f_hz
     return {
         "Gamma_lambda_pm": Gamma_lambda_pm,
@@ -148,7 +147,7 @@ def coupling_report(gamma_bulk: float, lam_nm: float, n_host: float,
         gamma_tf = transform_limit(alg["F_P_zpl_measured"], alg["gamma_zpl"],
                                    rates.gamma_bulk - alg["gamma_zpl"])
     return {
-        "dipole": {"value_Cm": d, "d_over_e_nm": d / CONSTANTS.e_charge * 1e9},
+        "dipole": {"value_Cm": d, "d_over_e_nm": d / E_CHARGE * 1e9},
         "g_rad_per_s": g,
         "kappa_per_s": conv["kappa_per_s"],
         "Q": conv["Q"],

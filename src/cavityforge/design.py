@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import CONSTANTS
+from .constants import C
 from .cqed import coupling_rate, dipole_from_lifetime, purcell_zpl_theory, transform_limit
 from .gaussian import beam_waist, effective_area, vacuum_field
 from .stack import (TERMINATIONS, CavityAssembly, EmitterSpec, GeometryError, MirrorSpec,
@@ -150,7 +150,7 @@ def evaluate_design(t_d_nm: float, L_nm: float, terminations, e: EmitterSpec,
         E_vac_diamond_V_per_m=vac["E_vac_max_diamond_V_per_m"],
         E_vac_global_V_per_m=vac["E_vac_global_max_V_per_m"],
         g_rad_per_s=g, kappa_per_s=kappa, F_P_zpl=F,
-        Q_required=2.0 * np.pi * CONSTANTS.c / (lam * 1e-9) / kappa,
+        Q_required=2.0 * np.pi * C / (lam * 1e-9) / kappa,
         eta_zpl=F * g0 / (gamma - g0 + F * g0),
         transform_limit_hz=transform_limit(F, rates["gamma_zpl"], rates["gamma_psb"]),
         interface_field_ratio=float(abs(E) / prof.amplitude.max()))

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import CONSTANTS, SQRT_2LN2
+from .constants import C, EPS0, HBAR, SQRT_2LN2
 from .stack import GeometryError
 from .tmm import FieldProfile
 
@@ -89,9 +89,8 @@ def vacuum_field(profile: FieldProfile, A_eff_um2: float) -> dict:
         V_eff_um3 = A_eff_um2 * (energy * 1e-3) / (profile.layer_eps_r[k] * amp[i_d] ** 2)
     if not np.isfinite(V_eff_um3):
         raise GeometryError(f"V_eff is not finite: the diamond's field maximum is {amp[i_d]:.3g}")
-    w = 2.0 * np.pi * CONSTANTS.c / (profile.resonant_wavelength * 1e-9)
-    scale = np.sqrt(CONSTANTS.hbar * w / (2.0 * CONSTANTS.eps0 * (A_eff_um2 * 1e-12)
-                                          * (energy * 1e-9)))
+    w = 2.0 * np.pi * C / (profile.resonant_wavelength * 1e-9)
+    scale = np.sqrt(HBAR * w / (2.0 * EPS0 * (A_eff_um2 * 1e-12) * (energy * 1e-9)))
     return {
         "A_eff_um2": float(A_eff_um2),
         "V_eff_um3": float(V_eff_um3),

@@ -29,15 +29,6 @@ import numpy as np
 from .stack import CavityAssembly, Layer, MirrorSpec, build_dbr
 
 
-@dataclass(frozen=True)
-class StackResponse:
-    wavelength: float
-    r: complex
-    t: complex
-    R_power: float
-    T_power: float
-
-
 @dataclass
 class FieldProfile:
     z: np.ndarray                  # nm, from the bottom substrate interface
@@ -103,21 +94,14 @@ def _stack_entries(layers: Sequence[Layer], lams: np.ndarray):
 
 
 def stack_response(layers: Sequence[Layer], n_in: complex, n_out: complex,
-                   lam: float) -> StackResponse:
-    """Amplitude and power coefficients of a layer stack at one wavelength."""
+                   lams) -> dict:
+    """Amplitude (r, t) and power (R, T) coefficients of a layer stack at
+    every wavelength of lams (nm): arrays shaped like lams."""
     if len(layers) < 1:
         raise ValueError("need at least one layer")
-    m = tuple(e[0] for e in _stack_entries(layers, np.array([lam])))
-    r, t = _rt(m, complex(n_in), complex(n_out))
-    R = float(np.abs(r) ** 2)
-    T = float(np.real(n_out) / np.real(n_in) * np.abs(t) ** 2)
-    return StackResponse(lam, complex(r), complex(t), R, T)
-
-
-def transmission_spectrum(layers: Sequence[Layer], n_in: complex, n_out: complex,
-                          lams: np.ndarray) -> np.ndarray:
-    t = _rt(_stack_entries(layers, lams), complex(n_in), complex(n_out))[1]
-    return np.real(n_out) / np.real(n_in) * np.abs(t) ** 2
+    r, t = _rt(_stack_entries(layers, lams), complex(n_in), complex(n_out))
+    return {"r": r, "t": t, "R": np.abs(r) ** 2,
+            "T": np.real(n_out) / np.real(n_in) * np.abs(t) ** 2}
 
 
 def _dbr_entries(spec: MirrorSpec, lams: np.ndarray):
@@ -245,19 +229,15 @@ def find_resonances(assembly: CavityAssembly, lam_window: tuple[float, float]) -
     2 (1 - rho) / (sqrt(rho) |dphi/dlam|), rho = |r_b r_t| times the
     mirrors' lumped-loss factor sqrt((1 - l_b)(1 - l_t)).
 
-    Returns one dict per resonance: lambda_res (nm), cold_linewidth_nm,
-    Q_cold (inf at a width of 0), peak_transmission.  Empty list when no
-    root lies in the window.
+    Returns one dict per resonance: lambda_res (nm), cold_linewidth_nm and
+    Q_cold (inf at a width of 0).  Empty list when no root lies in the
+    window.
     """
     _, lams, _, widths = _phase_roots(assembly, lam_window, np.array([assembly.L]))
-    T0 = transmission_spectrum(assembly.layers(), assembly.n_in, assembly.n_out, lams)
     with np.errstate(divide="ignore"):  # a width of 0 has an infinite Q
         Q = lams / widths
-    return [{"lambda_res": float(lam),
-             "cold_linewidth_nm": float(w),
-             "Q_cold": float(q),
-             "peak_transmission": float(t0)}
-            for lam, w, q, t0 in zip(lams, widths, Q, T0)]
+    return [{"lambda_res": float(lam), "cold_linewidth_nm": float(w), "Q_cold": float(q)}
+            for lam, w, q in zip(lams, widths, Q)]
 
 
 _MIN_SAMPLES = 2000  # lower bound on field_profile's sample count over the stack

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from cavityforge.config import (ConfigError, paper_baseline_dict, parse_config)
-from cavityforge.constants import CONSTANTS
+from cavityforge.constants import C
 
 
 def test_paper_baseline_parses():
@@ -82,12 +82,12 @@ def test_emitter_depth_must_be_inside_membrane():
 
 def test_constants_override_validation():
     # a config cannot override the constants: the block is an unknown key
-    c = CONSTANTS.c
+    c = C
     doc = paper_baseline_dict()
     doc["constants"] = {"c": 3e8}
     with pytest.raises(ConfigError, match="unknown keys"):
         parse_config(doc)
-    assert CONSTANTS.c == c
+    assert C == c
 
 
 def test_negative_membrane_rejected():

@@ -142,7 +142,7 @@ def _dense_marks(asm, step=0.005, reach=LAM / 40.0 + 2.0):
     # from the exit face), and the distance from the interface to the
     # nearest sampled node and antinode
     resp = stack_response(asm.layers(), asm.n_in, asm.n_out, LAM)
-    EH = np.array([resp.t, asm.n_out * resp.t])
+    EH = np.array([resp["t"], asm.n_out * resp["t"]])
     for ly in reversed(asm.layers()):
         if ly is asm.diamond:
             break

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavityforge.constants import CONSTANTS, SQRT_2LN2
+from cavityforge.constants import C, EPS0, HBAR, SQRT_2LN2
 from cavityforge.gaussian import (beam_waist, effective_area,
                                   transverse_offsets, vacuum_field, waist_from_fwhm)
 from cavityforge.stack import GeometryError, MirrorSpec, assemble_cavity
@@ -92,9 +92,9 @@ def test_uniform_cavity_closed_form():
     prof = _sine_profile()
     A_um2 = np.pi / 2
     rep = vacuum_field(prof, A_um2)
-    w = 2 * np.pi * CONSTANTS.c / (637.0e-9)
-    expected = np.sqrt(CONSTANTS.hbar * w /
-                       (CONSTANTS.eps0 * A_um2 * 1e-12 * 955.5e-9))
+    w = 2 * np.pi * C / (637.0e-9)
+    expected = np.sqrt(HBAR * w /
+                       (EPS0 * A_um2 * 1e-12 * 955.5e-9))
     assert rep["E_vac_max_diamond_V_per_m"] == pytest.approx(expected, rel=1e-6)
     assert rep["E_vac_global_max_V_per_m"] == pytest.approx(expected, rel=1e-6)
 
@@ -106,10 +106,10 @@ def test_vacuum_energy_is_half_quantum():
     rep = vacuum_field(prof, A_um2)
     i_star = int(np.argmin(np.abs(prof.z - rep["z_max_diamond_nm"])))
     E = rep["E_vac_max_diamond_V_per_m"] * prof.amplitude / prof.amplitude[i_star]
-    energy = CONSTANTS.eps0 * np.trapezoid(prof.layer_eps_r[0] * E ** 2, prof.z * 1e-9) \
+    energy = EPS0 * np.trapezoid(prof.layer_eps_r[0] * E ** 2, prof.z * 1e-9) \
         * A_um2 * 1e-12
-    w = 2 * np.pi * CONSTANTS.c / 637.0e-9
-    assert energy == pytest.approx(CONSTANTS.hbar * w / 2.0, rel=1e-6)
+    w = 2 * np.pi * C / 637.0e-9
+    assert energy == pytest.approx(HBAR * w / 2.0, rel=1e-6)
 
 
 @settings(max_examples=25, deadline=None)
@@ -142,8 +142,8 @@ def test_maximum_on_the_diamond_air_face_keeps_the_diamond_permittivity():
         layer_eps_r=np.array([eps_d, 1.0]), layer_energy=energy,
         faces=np.zeros((2, 2), complex))
     rep = vacuum_field(prof, A_um2)
-    w = 2 * np.pi * CONSTANTS.c / (lam * 1e-9)
-    scale = np.sqrt(CONSTANTS.hbar * w / (2 * CONSTANTS.eps0 * A_um2 * 1e-12
+    w = 2 * np.pi * C / (lam * 1e-9)
+    scale = np.sqrt(HBAR * w / (2 * EPS0 * A_um2 * 1e-12
                                           * energy.sum() * 1e-9))
     assert rep["z_max_diamond_nm"] == rep["z_max_global_nm"] == 100.0
     assert rep["E_vac_max_diamond_V_per_m"] == pytest.approx(scale * amp.max(), rel=1e-15)

@@ -10,8 +10,7 @@ from cavityforge.gaussian import vacuum_field
 from cavityforge.stack import Layer, MirrorSpec, assemble_cavity
 from cavityforge.tmm import (ResonanceError, _layer_energies, characteristic_matrix,
                              diamond_energy_fraction, dispersion_map,
-                             field_profile, find_resonances, stack_response,
-                             transmission_spectrum)
+                             field_profile, find_resonances, stack_response)
 
 # ---------------------------------------------------------- single matrices
 
@@ -47,8 +46,8 @@ def test_single_quarter_wave_film_reflectance():
     layer = Layer("f", complex(n1), 637.0 / (4 * n1))
     resp = stack_response([layer], 1.0, 1.46, 637.0)
     expected = ((1.0 * 1.46 - n1 ** 2) / (1.0 * 1.46 + n1 ** 2)) ** 2
-    assert resp.R_power == pytest.approx(expected, abs=1e-10)
-    assert resp.R_power == pytest.approx(0.2382, abs=5e-4)
+    assert resp["R"] == pytest.approx(expected, abs=1e-10)
+    assert resp["R"] == pytest.approx(0.2382, abs=5e-4)
 
 
 def test_zero_thickness_layer_is_identity():
@@ -56,23 +55,37 @@ def test_zero_thickness_layer_is_identity():
     dummy = Layer("d", 1.8 + 0j, 0.0)
     a = stack_response([layer], 1.0, 1.46, 637.0)
     b = stack_response([dummy, layer, dummy], 1.0, 1.46, 637.0)
-    assert a.r == pytest.approx(b.r, abs=1e-14)
-    assert a.t == pytest.approx(b.t, abs=1e-14)
+    assert a["r"] == pytest.approx(b["r"], abs=1e-14)
+    assert a["t"] == pytest.approx(b["t"], abs=1e-14)
 
 
 def test_dbr_stopband_transmission():
     from cavityforge.stack import build_dbr
     layers = build_dbr(MirrorSpec(pairs=15, center_wavelength=637.0))
     resp = stack_response(layers, 1.0, 1.46, 637.0)
-    assert resp.T_power < 1e-4
+    assert resp["T"] < 1e-4
     # analytic quarter-wave stack estimate T ~ 4 (n0/ns) (nL/nH)^(2N)
     approx = 4.0 * (1.0 / 1.46) * (1.46 / 2.06) ** (2 * 15)
-    assert resp.T_power == pytest.approx(approx, rel=0.5)
+    assert resp["T"] == pytest.approx(approx, rel=0.5)
 
 
 def test_empty_stack_rejected():
     with pytest.raises(ValueError):
         stack_response([], 1.0, 1.0, 637.0)
+
+
+def test_response_over_a_grid_equals_one_call_per_wavelength():
+    # array and 0-d ufunc paths may round differently, hence rtol 1e-14
+    from cavityforge.stack import build_dbr
+    layers = build_dbr(MirrorSpec(pairs=15, center_wavelength=637.0)) \
+        + [Layer("a", 1.5 + 0.01j, 900.0)]
+    lams = np.linspace(600.0, 680.0, 12).reshape(3, 4)
+    grid = stack_response(layers, 1.0, 1.46, lams)
+    for key in ("r", "t", "R", "T"):
+        one = np.array([stack_response(layers, 1.0, 1.46, lam)[key]
+                        for lam in lams.ravel()]).reshape(lams.shape)
+        assert grid[key].shape == lams.shape
+        np.testing.assert_allclose(grid[key], one, rtol=1e-14, atol=0)
 
 
 # ------------------------------------------------------ property: lossless TMM
@@ -93,7 +106,7 @@ _wavelength = st.floats(min_value=400.0, max_value=900.0)
 def test_energy_conservation_lossless(layers, nio, lam):
     n_in, n_out = nio
     resp = stack_response(layers, n_in, n_out, lam)
-    assert abs(resp.R_power + resp.T_power - 1.0) < 1e-10
+    assert abs(resp["R"] + resp["T"] - 1.0) < 1e-10
 
 
 @settings(max_examples=150, deadline=None)
@@ -102,7 +115,7 @@ def test_reciprocity_lossless(layers, nio, lam):
     n_in, n_out = nio
     fwd = stack_response(layers, n_in, n_out, lam)
     bwd = stack_response(list(reversed(layers)), n_out, n_in, lam)
-    assert fwd.T_power == pytest.approx(bwd.T_power, abs=1e-10)
+    assert fwd["T"] == pytest.approx(bwd["T"], abs=1e-10)
 
 
 @settings(max_examples=150, deadline=None)
@@ -130,8 +143,8 @@ def test_absorbing_slab_attenuates():
     # Im n > 0 is loss: a 1000 nm slab with kappa = 0.1 passes less than
     # its single-pass Beer-Lambert factor exp(-4 pi kappa d / lam)
     resp = stack_response([Layer("a", 1.5 + 0.1j, 1000.0)], 1.0, 1.0, 637.0)
-    assert resp.T_power < np.exp(-4.0 * np.pi * 0.1 * 1000.0 / 637.0)
-    assert resp.R_power + resp.T_power < 1.0
+    assert resp["T"] < np.exp(-4.0 * np.pi * 0.1 * 1000.0 / 637.0)
+    assert resp["R"] + resp["T"] < 1.0
 
 
 @settings(max_examples=150, deadline=None)
@@ -139,7 +152,7 @@ def test_absorbing_slab_attenuates():
 def test_absorbing_stacks_never_gain(layers, nio, lam):
     n_in, n_out = nio
     resp = stack_response(layers, n_in, n_out, lam)
-    assert resp.R_power + resp.T_power <= 1.0 + 1e-10
+    assert resp["R"] + resp["T"] <= 1.0 + 1e-10
 
 
 @settings(max_examples=100, deadline=None)
@@ -151,10 +164,10 @@ def test_tangential_fields_continuous_at_every_interface(layers, nio, lam):
     # entry medium, must be one and the same pair
     n_in, n_out = nio
     resp = stack_response(layers, n_in, n_out, lam)
-    down = [np.array([resp.t, n_out * resp.t])]
+    down = [np.array([resp["t"], n_out * resp["t"]])]
     for ly in reversed(layers):
         down.append(characteristic_matrix(ly, lam) @ down[-1])
-    up = [np.array([1.0 + resp.r, n_in * (1.0 - resp.r)])]
+    up = [np.array([1.0 + resp["r"], n_in * (1.0 - resp["r"])])]
     for ly in layers:
         up.append(np.linalg.solve(characteristic_matrix(ly, lam), up[-1]))
     for a, b in zip(down[::-1], up):
@@ -177,6 +190,11 @@ def test_ideal_cavity_resonance_at_637(ideal_air_cavity):
     assert len(res) == 1
     assert res[0]["lambda_res"] == pytest.approx(637.0, abs=1e-3)
     assert res[0]["Q_cold"] > 1e4
+
+
+def test_resonance_holds_only_its_three_keys(ideal_air_cavity):
+    res = find_resonances(ideal_air_cavity, (630.0, 645.0))
+    assert [sorted(r) for r in res] == [["Q_cold", "cold_linewidth_nm", "lambda_res"]]
 
 
 def test_empty_window_returns_empty_list(ideal_air_cavity):
@@ -285,7 +303,7 @@ def _trapezoid_energies(asm, lam, samples=64000):
     # reference: walk [E, H] down with the 2x2 matrices from the transmitted
     # wave and integrate eps_r |E|^2 by the trapezoid rule in each layer
     resp = stack_response(asm.layers(), asm.n_in, asm.n_out, lam)
-    EH = np.array([resp.t, asm.n_out * resp.t])
+    EH = np.array([resp["t"], asm.n_out * resp["t"]])
     out = []
     for ly in reversed(asm.layers()):
         s = np.linspace(0.0, ly.thickness, samples)   # depth below the top face
@@ -327,7 +345,7 @@ def _reference_faces(asm, lam):
     # reference: [E, H] at each layer's top face from stack_response's t and
     # the 2x2 matrices walked down from the exit face
     resp = stack_response(asm.layers(), asm.n_in, asm.n_out, lam)
-    EH = np.array([resp.t, asm.n_out * resp.t])
+    EH = np.array([resp["t"], asm.n_out * resp["t"]])
     tops = []
     for ly in reversed(asm.layers()):
         tops.append(EH)
@@ -453,7 +471,7 @@ def test_phase_roots_match_transmission_peaks(paper_cavity, L_values):
         found[L] = find_resonances(cav, window)
 
         def T(lams):
-            return transmission_spectrum(cav.layers(), cav.n_in, cav.n_out, lams)
+            return stack_response(cav.layers(), cav.n_in, cav.n_out, lams)["T"]
 
         Tg = T(grid)
         scan_peaks = np.flatnonzero((Tg[1:-1] > Tg[:-2]) & (Tg[1:-1] >= Tg[2:]))
