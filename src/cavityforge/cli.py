@@ -2,7 +2,8 @@
 design sweeps and synthetic-data generation.
 
 Exit codes: 0 success, 2 input error (also a grid too large to allocate),
-3 physics-domain failure, 4 fit non-convergence (result still written).
+3 physics-domain failure, 4 fit non-convergence (result still written),
+141 (128 + SIGPIPE) when the reader of stdout closed it early.
 All output is deterministic: fixed inputs give byte-identical files ('.'
 decimal separator, UTF-8, Unix newlines).  CSV outputs write floats at 9
 significant digits; JSON outputs (report, fit, --pareto-json) write
@@ -21,6 +22,7 @@ import csv
 import dataclasses
 import gc
 import json
+import os
 import sys
 import warnings
 from typing import Optional
@@ -47,6 +49,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PHYSICS = 3
 EXIT_NOCONV = 4
+EXIT_PIPE = 141
 
 _UNIT_SUFFIXES = ("_pm", "_nm", "_um", "_mm", "_ns", "_us", "_ms", "_s",
                   "_per_s", "_hz", "_mhz", "_ghz")
@@ -111,8 +114,7 @@ def cmd_dispersion(args) -> int:
         raise ConfigError("L range must contain at least two samples")
     cols = dispersion_map(cfg.cavity, L_values, (args.lambda_min_nm, args.lambda_max_nm))
     if not cols["L_nm"].size:
-        print("no resonance found in the requested window", file=sys.stderr)
-        return EXIT_PHYSICS
+        raise ResonanceError("no resonance branch spans two L samples in the requested window")
 
     L, lam, slope = cols["L_nm"], cols["lambda_nm"], cols["dlambda_dL"]
     lam_k = lam[None, :]
@@ -178,7 +180,7 @@ def cmd_report(args) -> int:
 def _read_csv(path: str) -> XYSeries:
     """The checked two-column series of a fit CSV, in its header's units."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a BOM is no part of the header
             # lines of only whitespace and commas hold no cell; skip them
             lines = [ln for ln in fh.read().splitlines() if ln.replace(",", "").strip()]
     except OSError as exc:
@@ -435,10 +437,20 @@ def run() -> int:
     cyclic garbage collector off, and everything alive at the end frozen
     so that the collection at interpreter shutdown skips it.  The process
     ends right after, so no cycle it leaves needs collecting; main() itself
-    leaves the collector as it finds it."""
+    leaves the collector as it finds it.
+
+    A reader that closed stdout early ends the command with EXIT_PIPE, the
+    status a shell gives a filter whose reader left; main() leaves that
+    error to its caller."""
     gc.disable()
     try:
-        return main()
+        code = main()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     finally:
         gc.freeze()
 

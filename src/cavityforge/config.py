@@ -186,7 +186,7 @@ def parse_config(doc: dict, needs_cavity: bool = True) -> RunConfig:
 
 def load_config(path: str, needs_cavity: bool = True) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # RFC 8259 lets a reader skip a BOM
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -373,11 +373,14 @@ def g2_pulse_areas(histogram: XYSeries, pulse_period_ns: float, window_ns: float
     position (integer multiples of the pulse period) whose window the
     histogram covers; it must cover the zero-delay peak and at least 3
     peaks on each side of it.  g2(0) is the zero-delay area over the mean
-    area of the nonzero delays at |delay| >= normalization_delay_ns (by
-    default all of them), which must hold coincidences.
+    area of the nonzero delays at |delay| >= normalization_delay_ns (finite
+    and >= 0; by default 0, all of them), which must hold coincidences.
     """
     if not (pulse_period_ns > window_ns > 0):
         raise ValueError("need pulse_period > window > 0")
+    if not (np.isfinite(normalization_delay_ns) and normalization_delay_ns >= 0):
+        raise ValueError(f"normalization_delay_ns must be finite and >= 0, "
+                         f"got {normalization_delay_ns}")
     t, y = histogram.x, histogram.y
     _check_counts(y)
     span_lo = int(np.ceil((t[0] + window_ns / 2) / pulse_period_ns))

@@ -181,6 +181,30 @@ def test_fit_g2_without_three_peaks_on_each_side_exits_2(lo_ns, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("delay", ["-5", "nan", "inf"])
+def test_fit_g2_normalization_delay_outside_its_domain_exits_2(delay, tmp_path, capsys):
+    csv = tmp_path / "g2.csv"
+    assert _run(["synth", "g2", "--poisson", "--seed", "3", "-o", str(csv)]) == 0
+    out = tmp_path / "g2.json"
+    assert _run(["fit", "g2", str(csv), "--norm-delay-ns", delay, "-o", str(out)]) == 2
+    assert "normalization_delay_ns must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_g2_normalization_delay_in_its_domain(tmp_path):
+    from cavityforge.fits import g2_pulse_areas
+    csv = tmp_path / "g2.csv"
+    assert _run(["synth", "g2", "--poisson", "--seed", "3", "-o", str(csv)]) == 0
+    written = {}
+    for name, flags in {"unset": [], "0": ["--norm-delay-ns", "0"],
+                        "250": ["--norm-delay-ns", "250"]}.items():
+        written[name] = tmp_path / f"g2-{name}.json"
+        assert _run(["fit", "g2", str(csv), *flags, "-o", str(written[name])]) == 0
+    assert written["unset"].read_bytes() == written["0"].read_bytes()
+    assert json.loads(written["250"].read_text())["g2_zero"] == \
+        g2_pulse_areas(cli._read_csv(str(csv)), 100.0, 20.0, 250.0)["g2_zero"]
+
+
 def test_fit_g2_without_coincidences_exits_2(tmp_path, capsys):
     csv = tmp_path / "g2.csv"
     _write_g2(csv, np.arange(-1050.0, 1050.0 + 0.1, 0.2), 0)
@@ -307,15 +331,19 @@ def test_dispersion_transverse_rows_repeat_their_roots_share(tmp_path):
         assert [r[:2] for r in transverse] == [root[:2], root[:2]]
 
 
-def test_dispersion_empty_window_exits_3(tmp_path):
+_NO_BRANCH = "error: no resonance branch spans two L samples in the requested window\n"
+
+
+def test_dispersion_empty_window_exits_3(tmp_path, capsys):
     rc = _run(["dispersion", "--paper-baseline", "--l-min-um", "1.90",
                "--l-max-um", "1.92", "--l-step-nm", "20",
                "--lambda-min-nm", "650", "--lambda-max-nm", "652",
                "-o", str(tmp_path / "x.csv")])
     assert rc == 3
+    assert capsys.readouterr().err == _NO_BRANCH
 
 
-def test_dispersion_single_root_branch_is_dropped_and_exits_3(tmp_path):
+def test_dispersion_single_root_branch_is_dropped_and_exits_3(tmp_path, capsys):
     # the window holds one root, 634.06 nm at L = 1920 nm; a branch of one
     # root is dropped, so the map is empty
     from cavityforge.config import paper_baseline_dict, parse_config
@@ -329,6 +357,7 @@ def test_dispersion_single_root_branch_is_dropped_and_exits_3(tmp_path):
     assert _run(["dispersion", "--paper-baseline", "--l-min-um", "1.9",
                  "--l-max-um", "1.92", "--lambda-min-nm", "633", "--lambda-max-nm", "635",
                  "-o", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == _NO_BRANCH
 
 
 @pytest.mark.parametrize("flags", [
@@ -436,6 +465,22 @@ def test_config_fit_block_rejected(tmp_path):
 
 
 # ------------------------------------------------------------------- report
+
+
+@pytest.mark.parametrize("argv", [["fit", "gaussian", DATA / "zpl6_lateral.csv"],
+                                  ["report", "--config", GOLDEN / "config_bottom30_top14.json"]],
+                         ids=["fit-csv", "report-config"])
+def test_input_with_a_byte_order_mark_reads_as_without(argv, tmp_path, capsys):
+    # spreadsheet exports start with a UTF-8 BOM, and RFC 8259 lets a JSON
+    # reader skip it
+    *flags, plain = argv
+    bom = tmp_path / plain.name
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for path in (plain, bom):
+        assert _run([*flags, str(path)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[1] == outputs[0]
 
 
 def test_report_baseline(tmp_path):

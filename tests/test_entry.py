@@ -1,7 +1,8 @@
 """The process entry of the command line: ``python -m cavityforge.cli`` and
 the installed ``cavityforge`` command run ``cli.run``, which turns the
-cyclic garbage collector off for its one command; ``cli.main`` and a plain
-import leave the collector alone."""
+cyclic garbage collector off for its one command and ends with 141 when
+the reader of stdout left early; ``cli.main`` and a plain import leave the
+collector alone."""
 
 import ast
 import os
@@ -72,6 +73,31 @@ def test_entry_process_matches_in_process_main(shape, tmp_path, monkeypatch, cap
         outputs[side] = (code, out, err, written)
     assert outputs["main"][0] == want
     assert outputs["process"] == outputs["main"]
+
+
+_PIPE_CASES = {
+    "report": ["report", "--paper-baseline"],
+    # far more output than one buffer holds
+    "full-map": ["dispersion", "--paper-baseline", "--max-transverse-order", "2"],
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("case", sorted(_PIPE_CASES))
+def test_reader_that_left_ends_the_process_with_141(case, unbuffered, tmp_path):
+    # stdout is a pipe whose read end is closed before the command writes
+    env = _env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-m", "cavityforge.cli", *_PIPE_CASES[case]],
+                             cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (141, b"")
 
 
 def test_main_leaves_the_collector_alone(tmp_path):
