@@ -94,7 +94,7 @@ def _stack_entries(layers: Sequence[Layer], lams: np.ndarray):
 
 
 def stack_response(layers: Sequence[Layer], n_in: complex, n_out: complex,
-                   lams) -> dict:
+                   lams: np.ndarray | float) -> dict:
     """Amplitude (r, t) and power (R, T) coefficients of a layer stack at
     every wavelength of lams (nm): arrays shaped like lams."""
     if len(layers) < 1:
